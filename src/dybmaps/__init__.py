@@ -16,7 +16,6 @@ from .binary import (
     StructureFlags,
     check_binary_condition,
     classify_structure,
-    left_divide,
     validate_left_quasigroup,
 )
 from .correspondence import (

@@ -7,20 +7,32 @@ literature with 1-based labels translate by subtracting 1 everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import IndexOutOfRange, NotAPermutation, NotLeftQuasigroup
-from .result import PASS, CheckResult
+from .kernel import Identity, check, flatten
+from .result import CheckResult
 
 Rows = tuple[tuple[int, ...], ...]
 
-#: Identities checkable on a left quasigroup (G, *) with left division \:
-#:   LQ1   (a*c)\((a*b)*c) is independent of a          (vars a, a', b, c)
-#:   LQ22  (b*c)*(a\((a*c)*((b*c)\(b*d)))) = b*(a\((a*c)*d))   (vars a, b, c, d)
-#:   LQ21  (a*c)*((b*c)\(b*d)) = ((a*c)*d)*((b*(a\((a*c)*d)))\(b*d))
-#:   EX12  (a*b)*c = (a*c)*b                            (vars a, b, c)
-#:   INV2  (a*b)*b = a                                  (vars a, b)
-BINARY_CONDITIONS = ("LQ1", "LQ22", "LQ21", "EX12", "INV2")
+#: Identities checkable on a left quasigroup, as lookups mul(u, v) = u*v and
+#: ld(u, w) = u\w, the left division; witnesses in variable order.
+_BINARY = {
+    # (a*c)\((a*b)*c) is independent of a
+    "LQ1": Identity("a a2 b c", "ld(mul(a, c), mul(mul(a, b), c)) == ld(mul(a2, c), mul(mul(a2, b), c))"),
+    "LQ22": Identity("a b c d", """
+        bc, ac = mul(b, c), mul(a, c)
+        mul(bc, ld(a, mul(ac, ld(bc, mul(b, d))))) == mul(b, ld(a, mul(ac, d)))
+    """),
+    "LQ21": Identity("a b c d", """
+        ac = mul(a, c); bd = mul(b, d); acd = mul(ac, d)
+        mul(ac, ld(mul(b, c), bd)) == mul(acd, ld(mul(b, ld(a, acd)), bd))
+    """),
+    "EX12": Identity("a b c", "mul(mul(a, b), c) == mul(mul(a, c), b)"),
+    "INV2": Identity("a b", "mul(mul(a, b), b) == a"),
+}
+BINARY_CONDITIONS = tuple(_BINARY)
+_ASSOCIATIVE = Identity("a b c", "mul(mul(a, b), c) == mul(a, mul(b, c))")
+_RIGHT_DISTRIBUTIVE = Identity("x y z", "mul(mul(x, y), z) == mul(mul(x, z), mul(y, z))")
 
 
 def _freeze_rows(rows) -> Rows:
@@ -171,14 +183,9 @@ def classify_structure(t: BinaryTable) -> StructureFlags:
             break
     is_loop = is_q and identity is not None
 
-    assoc = all(
-        rows[rows[a][b]][c] == rows[a][rows[b][c]]
-        for a, b, c in product(range(n), repeat=3)
-    )
-    rdist = all(
-        rows[rows[x][y]][z] == rows[rows[x][z]][rows[y][z]]
-        for x, y, z in product(range(n), repeat=3)
-    )
+    mul = flatten(rows)
+    assoc = check(_ASSOCIATIVE, n=n, mul=mul).holds
+    rdist = check(_RIGHT_DISTRIBUTIVE, n=n, mul=mul).holds
     return StructureFlags(
         is_left_quasigroup=rows_ok,
         is_quasigroup=is_q,
@@ -189,54 +196,12 @@ def classify_structure(t: BinaryTable) -> StructureFlags:
     )
 
 
-def left_divide(L: LeftQuasigroup, u: int, w: int) -> int:
-    """The unique v with u*v = w."""
-    return L.left_div(u, w)
-
-
 def check_binary_condition(G: LeftQuasigroup, cond: str) -> CheckResult:
     """Exhaustively test one of BINARY_CONDITIONS on a left quasigroup.
 
     On failure the witness is the lexicographically first failing variable
     tuple, in the variable order documented with each condition.
     """
-    n = G.order
-    mul = G.rows
-    ld = G.ldiv
-    rng = range(n)
-
-    if cond == "LQ1":
-        for a, a2, b, c in product(rng, repeat=4):
-            if ld[mul[a][c]][mul[mul[a][b]][c]] != ld[mul[a2][c]][mul[mul[a2][b]][c]]:
-                return CheckResult(False, (a, a2, b, c), cond)
-        return PASS
-    if cond == "LQ22":
-        for a, b, c, d in product(rng, repeat=4):
-            bc = mul[b][c]
-            ac = mul[a][c]
-            lhs = mul[bc][ld[a][mul[ac][ld[bc][mul[b][d]]]]]
-            rhs = mul[b][ld[a][mul[ac][d]]]
-            if lhs != rhs:
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "LQ21":
-        for a, b, c, d in product(rng, repeat=4):
-            ac = mul[a][c]
-            bd = mul[b][d]
-            lhs = mul[ac][ld[mul[b][c]][bd]]
-            acd = mul[ac][d]
-            rhs = mul[acd][ld[mul[b][ld[a][acd]]][bd]]
-            if lhs != rhs:
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "EX12":
-        for a, b, c in product(rng, repeat=3):
-            if mul[mul[a][b]][c] != mul[mul[a][c]][b]:
-                return CheckResult(False, (a, b, c), cond)
-        return PASS
-    if cond == "INV2":
-        for a, b in product(rng, repeat=2):
-            if mul[mul[a][b]][b] != a:
-                return CheckResult(False, (a, b), cond)
-        return PASS
-    raise ValueError(f"unknown binary condition {cond!r}")
+    if cond not in _BINARY:
+        raise ValueError(f"unknown binary condition {cond!r}")
+    return check(_BINARY[cond], cond, n=G.order, mul=flatten(G.rows), ld=flatten(G.ldiv))

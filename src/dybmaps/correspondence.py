@@ -9,15 +9,25 @@ vertex-IRF correspondence; any map in class D1 admits one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup, check_binary_condition, classify_structure, validate_left_quasigroup
 from .engine import DynamicalMap, Triple, build_dyb
 from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch
-from .result import PASS, CheckResult
+from .kernel import Identity, check, flatten
+from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition, make_mu_g
 
 PairTable = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+# verify_irf_irf with the bijection J(lam1) applied to both sides; the inner
+# swaps of (swap R2 swap) o (swap J swap) cancel.
+_IRF_IRF = Identity("lam1 u v", """
+    x, y = J(lam1, v, u)
+    a, b = r1(lam1, u, v)
+    s, t = J(lam1, a, b)
+    c, d = r2(rho(lam1), x, y)
+    (s, t) == (d, c)
+""")
 
 
 @dataclass(frozen=True)
@@ -62,9 +72,7 @@ def build_correspondence(
     if len(orders) != 1:
         raise OrderMismatch(f"orders differ: {sorted(orders)}")
     for cond in ("M1", "M2"):
-        res = check_ternary_condition(M, cond)
-        if not res:
-            raise M1M2Violation(cond, res.witness)
+        check_ternary_condition(M, cond).require(M1M2Violation)
     n = M.order
     mul1, mul2 = L1.rows, L2.rows
     ld2 = L2.ldiv
@@ -93,30 +101,16 @@ def build_correspondence(
         M=M,
         pi1=pi1,
         pi2=pi2,
-        R1=build_dyb(Triple(L1, M, pi1)),
-        R2=build_dyb(Triple(L2, M, pi2)),
+        R1=build_dyb(Triple(L1, M, pi1), checked=False),
+        R2=build_dyb(Triple(L2, M, pi2), checked=False),
         J=tuple(jt),
     )
 
 
 def verify_irf_irf(c: CorrespondenceInstance) -> CheckResult:
     """Check R1(lam1) = J(lam1)^-1 o swap R2(rho lam1) swap o (swap J(lam1) swap)."""
-    n = c.order
-    rho = tuple(c.pi2.inverse[c.pi1.map[i]] for i in range(n))
-    r1, r2 = c.R1.r, c.R2.r
-    for lam1 in range(n):
-        jt = c.J[lam1]
-        jinv = {}
-        for u, v in product(range(n), repeat=2):
-            jinv[jt[u][v]] = (u, v)
-        rl = rho[lam1]
-        for u, v in product(range(n), repeat=2):
-            # the inner swaps of (swap R2 swap) o (swap J swap) cancel
-            x, y = jt[v][u]
-            a, b = r2[rl][x][y]
-            if jinv[(b, a)] != r1[lam1][u][v]:
-                return CheckResult(False, (lam1, u, v))
-    return PASS
+    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=flatten(flatten(c.J)),
+                 r1=c.R1.tables["r"], r2=c.R2.tables["r"])
 
 
 def is_constant_in_lambda(R: DynamicalMap) -> bool:
@@ -137,9 +131,7 @@ def vertex_counterpart(
     """
     if L.order != G.order or pi.order != L.order:
         raise OrderMismatch(f"orders differ: L={L.order}, G={G.order}, pi={pi.order}")
-    res = check_binary_condition(G, "LQ1")
-    if not res:
-        raise LQ1Violation("LQ1", res.witness)
+    check_binary_condition(G, "LQ1").require(LQ1Violation)
     n = L.order
     p = pi.map
     q = pi.inverse
@@ -177,9 +169,7 @@ def eq26_family(G: LeftQuasigroup) -> DynamicalMap:
     flags = classify_structure(G.base)
     if not flags.is_quasigroup:
         raise NotQuasigroup("columns are not permutations")
-    res = check_binary_condition(G, "LQ1")
-    if not res:
-        raise LQ1Violation("LQ1", res.witness)
+    check_binary_condition(G, "LQ1").require(LQ1Violation)
     n = G.order
     gmul = G.rows
     gld = G.ldiv

@@ -16,7 +16,7 @@ By construction (lam * xi) * eta = (lam*u)*v, the invariance condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 
 from .binary import (
     BinaryTable,
@@ -37,7 +37,8 @@ from .errors import (
     ShapeMismatch,
     UnitNotPreserved,
 )
-from .result import PASS, CheckResult
+from .kernel import FlatTable, Identity, check, flatten
+from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition
 
 D_CLASSES = ("D1", "D2", "D3")
@@ -47,6 +48,69 @@ A_CLASSES = ("A1", "A2", "A3")
 A_CLASS_CONDITIONS = {"A1": ("A11", "A12"), "A2": ("A21", "A22"), "A3": ("A31", "A32")}
 
 PairRows = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+# Identities on a map, as lookups into its flat tables: phi(lam, u) is the
+# weight shift, r(lam, u, v) the pair R(lam)(u, v) and eta, xi its two
+# slots; in the invariance and class laws phi is the weight multiplication
+# and ld its left division.
+_QDYBE = Identity("lam:h u v w", """
+    # left side: legs 12, then 13 shifted by slot 2, then 23
+    a, b = r(lam, u, v)
+    c, d = r(phi(lam, b), a, w)
+    e, f = r(lam, b, d)
+    # right side: legs 23 shifted by slot 1, then 13, then 12 shifted by slot 3
+    p2, q2 = r(phi(lam, u), v, w)
+    s2, t2 = r(lam, u, q2)
+    x2, y2 = r(phi(lam, t2), s2, p2)
+    (c, e, f) == (x2, y2, t2)
+""")
+# with sigma = swap o R, so that b, a = r(...) reads sigma(...) = (a, b)
+_BRAIDING = Identity("lam:h u v w", """
+    b, a = r(lam, u, v)
+    d, c = r(phi(lam, a), b, w)
+    l2, l1 = r(lam, a, c)
+    q2, p2 = r(phi(lam, u), v, w)
+    hh, g = r(lam, u, p2)
+    m2, m1 = r(phi(lam, g), hh, q2)
+    (l1, l2, d) == (g, m1, m2)
+""")
+_INVARIANCE = Identity("lam u v", "phi(phi(lam, xi(lam, u, v)), eta(lam, u, v)) == phi(phi(lam, u), v)")
+_UNITARY = Identity("lam:h u v", "a, b = r(lam, u, v); c, d = r(lam, b, a); (c, d) == (v, u)")
+_NORMALISED = Identity("lam w", "xi(lam, ld(lam, lam), w) == w")
+#: (composition law, normalisation law) of each map class.
+_D_LAWS = {
+    "D1": (Identity("lam u v w", """
+        lu = phi(lam, u); luv = ld(lam, phi(lu, v))
+        xi(lam, u, xi(lu, v, w)) == xi(lam, luv, w)
+    """), _NORMALISED),
+    "D2": (Identity("lam u v w", """
+        lu = phi(lam, u); lx = phi(lam, xi(lam, u, v)); luv = phi(lu, v)
+        phi(lx, xi(lx, eta(lam, u, v), w)) == phi(lam, xi(lam, u, ld(lu, phi(luv, w))))
+    """), Identity("lam u", "lu = phi(lam, u); xi(lam, u, ld(lu, lu)) == ld(lam, lam)")),
+    "D3": (Identity("lam u v w", """
+        lu = phi(lam, u); lv = phi(lam, v); inner = xi(lu, ld(lu, lam), w)
+        phi(lam, xi(lam, v, ld(lv, phi(lu, inner)))) == phi(lu, xi(lu, ld(lu, lv), ld(lv, phi(lam, w))))
+    """), _NORMALISED),
+}
+# is_D_morphism: f(u*v) = f(u)*'f(v), and R'(f(lam))(f(u), f(v)) = (f x f)(R(lam)(u, v)),
+# with both primed structures of order m.
+_HOMOMORPHISM = Identity("u v", "f(mul(u, v)) == mul2[f(u) * m + f(v)]")
+_INTERTWINES = Identity("lam u v", """
+    a, b = r(lam, u, v); c, d = r2[(f(lam) * m + f(u)) * m + f(v)]
+    (c, d) == (f(a), f(b))
+""")
+# The factorisations of conjugation_selfcheck, with mul and ld those of L
+# and p, q = pi, pi^-1.
+_PAIR_FACTORISATION = Identity("lam u v", """
+    x1 = mul(lam, u); x2 = mul(x1, v); y1 = q(mu(p(lam), p(x1), p(x2)))
+    (ld(y1, x2), ld(lam, y1)) == (eta(lam, u, v), xi(lam, u, v))
+""")
+_TRIPLE_FACTORISATION = Identity("lam u v w", """
+    a1 = mul(lam, u); a2 = mul(a1, v); a3 = mul(a2, w)
+    b1 = q(mu(p(lam), p(a1), p(a2))); c2 = q(mu(p(a1), p(a2), p(a3)))
+    (ld(lam, b1), ld(b1, a2), ld(a2, a3), ld(lam, a1), ld(a1, c2), ld(c2, a3)) == (
+        xi(lam, u, v), eta(lam, u, v), w, u, xi(a1, v, w), eta(a1, v, w))
+""")
 
 
 @dataclass(frozen=True)
@@ -59,6 +123,10 @@ class DynamicalMap:
     phi: tuple[tuple[int, ...], ...]
     r: PairRows
 
+    def __post_init__(self):
+        if not self.phi or not self.phi[0]:
+            raise ValueError("a dynamical map needs at least one weight and one element")
+
     @property
     def weight_order(self) -> int:
         return len(self.phi)
@@ -67,9 +135,6 @@ class DynamicalMap:
     def set_order(self) -> int:
         return len(self.phi[0])
 
-    def apply(self, lam: int, u: int, v: int) -> tuple[int, int]:
-        return self.r[lam][u][v]
-
     def sigma(self, lam: int, u: int, v: int) -> tuple[int, int]:
         """The braiding companion: output of R(lam) with slots swapped."""
         a, b = self.r[lam][u][v]
@@ -77,6 +142,29 @@ class DynamicalMap:
 
     def __repr__(self) -> str:
         return f"DynamicalMap(weight_order={self.weight_order}, set_order={self.set_order})"
+
+    @cached_property
+    def tables(self) -> dict:
+        """The map as the identity kernel reads it, flattened once: sizes n
+        and h, phi(lam, u), r(lam, u, v) the pair R(lam)(u, v), and eta, xi
+        its two slots."""
+        pairs = flatten(flatten(self.r))
+        eta, xi = zip(*pairs)
+        return {"n": self.set_order, "h": self.weight_order, "phi": FlatTable(flatten(self.phi)),
+                "r": FlatTable(pairs), "eta": FlatTable(eta), "xi": FlatTable(xi)}
+
+    @cached_property
+    def weight_ldiv(self) -> tuple:
+        """Left division of phi read as a multiplication, row-major: lam\\u at
+        lam*n + u.  ShapeMismatch unless phi is a left-quasigroup multiplication."""
+        if self.weight_order != self.set_order:
+            raise ShapeMismatch(
+                f"weight order {self.weight_order} != set order {self.set_order}"
+            )
+        try:
+            return flatten(validate_left_quasigroup(BinaryTable.from_rows(self.phi)).ldiv)
+        except (NotLeftQuasigroup, ValueError) as exc:
+            raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -104,9 +192,7 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
     """
     if checked:
         for cond in ("M1", "M2"):
-            res = check_ternary_condition(t.M, cond)
-            if not res:
-                raise M1M2Violation(cond, res.witness)
+            check_ternary_condition(t.M, cond).require(M1M2Violation)
     n = t.L.order
     mul = t.L.rows
     ld = t.L.ldiv
@@ -155,29 +241,7 @@ def verify_qdybe(R: DynamicalMap) -> CheckResult:
     argument carries a slot superscript reads that slot of the tuple it is
     applied to.  Both sides are evaluated right to left.
     """
-    h = R.weight_order
-    nx = R.set_order
-    r = R.r
-    phi = R.phi
-    rngx = range(nx)
-    for lam in range(h):
-        rlam = r[lam]
-        for u in rngx:
-            ru = rlam[u]
-            for v in rngx:
-                a, b = ru[v]
-                for w in rngx:
-                    # left side: legs 12, then 13 shifted by slot 2, then 23
-                    c, d = r[phi[lam][b]][a][w]
-                    e, f = rlam[b][d]
-                    # right side: legs 23 shifted by slot 1, then 13,
-                    # then 12 shifted by slot 3
-                    p2, q2 = r[phi[lam][u]][v][w]
-                    s2, t2 = rlam[u][q2]
-                    x2, y2 = r[phi[lam][t2]][s2][p2]
-                    if c != x2 or e != y2 or f != t2:
-                        return CheckResult(False, (lam, u, v, w))
-    return PASS
+    return check(_QDYBE, **R.tables)
 
 
 def verify_braiding(R: DynamicalMap) -> CheckResult:
@@ -185,62 +249,18 @@ def verify_braiding(R: DynamicalMap) -> CheckResult:
 
     Agreement with verify_qdybe on every input is itself a tested property.
     """
-    h = R.weight_order
-    nx = R.set_order
-    r = R.r
-    phi = R.phi
-
-    def sig(lam, x, y):
-        o = r[lam][x][y]
-        return o[1], o[0]
-
-    for lam, u, v, w in product(range(h), range(nx), range(nx), range(nx)):
-        a, b = sig(lam, u, v)
-        c, d = sig(phi[lam][a], b, w)
-        l1, l2 = sig(lam, a, c)
-        p2, q2 = sig(phi[lam][u], v, w)
-        g, hh = sig(lam, u, p2)
-        m1, m2 = sig(phi[lam][g], hh, q2)
-        if (l1, l2, d) != (g, m1, m2):
-            return CheckResult(False, (lam, u, v, w))
-    return PASS
-
-
-def _weight_multiplication(R: DynamicalMap):
-    """Interpret phi as a left-quasigroup multiplication; ShapeMismatch otherwise."""
-    if R.weight_order != R.set_order:
-        raise ShapeMismatch(
-            f"weight order {R.weight_order} != set order {R.set_order}"
-        )
-    try:
-        L = validate_left_quasigroup(BinaryTable.from_rows(R.phi))
-    except (NotLeftQuasigroup, ValueError) as exc:
-        raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
-    return L.rows, L.ldiv
+    return check(_BRAIDING, **R.tables)
 
 
 def verify_invariance(R: DynamicalMap) -> CheckResult:
-    """Check (lam*xi)*eta = (lam*u)*v with * read off the weight shift."""
-    mul, _ = _weight_multiplication(R)
-    n = R.set_order
-    r = R.r
-    for lam, u, v in product(range(n), repeat=3):
-        eta, xi = r[lam][u][v]
-        if mul[mul[lam][xi]][eta] != mul[mul[lam][u]][v]:
-            return CheckResult(False, (lam, u, v))
-    return PASS
+    """Check (lam*xi)*eta = (lam*u)*v with * read off the weight shift, which
+    must be a left-quasigroup multiplication (ShapeMismatch otherwise)."""
+    return check(_INVARIANCE, **R.tables, ld=R.weight_ldiv)
 
 
 def verify_unitary(R: DynamicalMap) -> CheckResult:
     """Check R(lam) swap R(lam) = swap for every weight."""
-    r = R.r
-    for lam in range(R.weight_order):
-        rlam = r[lam]
-        for u, v in product(range(R.set_order), repeat=2):
-            a, b = rlam[u][v]
-            if rlam[b][a] != (v, u):
-                return CheckResult(False, (lam, u, v))
-    return PASS
+    return check(_UNITARY, **R.tables)
 
 
 def extract_mu_L(R: DynamicalMap) -> TernaryTable:
@@ -249,16 +269,16 @@ def extract_mu_L(R: DynamicalMap) -> TernaryTable:
     Requires the invariance condition; on a map built from a triple the
     bijection pi carries this table homomorphically onto the original one.
     """
-    mul, ld = _weight_multiplication(R)
     inv = verify_invariance(R)
     if not inv:
         raise InvarianceViolated(f"invariance fails at {inv.witness}")
     n = R.set_order
     r = R.r
+    mul, ld = R.phi, R.weight_ldiv
 
     def fn(a, b, c):
-        u = ld[a][b]
-        v = ld[b][c]
+        u = ld[a * n + b]
+        v = ld[b * n + c]
         return mul[a][r[a][u][v][1]]
 
     return TernaryTable.from_function(n, fn)
@@ -273,51 +293,9 @@ def check_D_class(R: DynamicalMap, cls: str) -> CheckResult:
     """
     if cls not in D_CLASSES:
         raise ValueError(f"unknown class {cls!r}")
-    mul, ld = _weight_multiplication(R)
-    n = R.set_order
-    r = R.r
-
-    def xi(lam, u, v):
-        return r[lam][u][v][1]
-
-    rng = range(n)
-    if cls == "D1":
-        for lam, u, v, w in product(rng, repeat=4):
-            lu = mul[lam][u]
-            if xi(lam, u, xi(lu, v, w)) != xi(lam, ld[lam][mul[lu][v]], w):
-                return CheckResult(False, (lam, u, v, w), "composition")
-        for lam, w in product(rng, repeat=2):
-            if xi(lam, ld[lam][lam], w) != w:
-                return CheckResult(False, (lam, w), "normalisation")
-        return PASS
-    if cls == "D2":
-        for lam, u, v, w in product(rng, repeat=4):
-            eta_uv, xi_uv = r[lam][u][v]
-            lx = mul[lam][xi_uv]
-            lu = mul[lam][u]
-            luv = mul[lu][v]
-            lhs = mul[lx][xi(lx, eta_uv, w)]
-            rhs = mul[lam][xi(lam, u, ld[lu][mul[luv][w]])]
-            if lhs != rhs:
-                return CheckResult(False, (lam, u, v, w), "composition")
-        for lam, u in product(rng, repeat=2):
-            lu = mul[lam][u]
-            if xi(lam, u, ld[lu][lu]) != ld[lam][lam]:
-                return CheckResult(False, (lam, u), "normalisation")
-        return PASS
-    for lam, u, v, w in product(rng, repeat=4):
-        lu = mul[lam][u]
-        lv = mul[lam][v]
-        lw = mul[lam][w]
-        inner = xi(lu, ld[lu][lam], w)
-        lhs = mul[lam][xi(lam, v, ld[lv][mul[lu][inner]])]
-        rhs = mul[lu][xi(lu, ld[lu][lv], ld[lv][lw])]
-        if lhs != rhs:
-            return CheckResult(False, (lam, u, v, w), "composition")
-    for lam, w in product(rng, repeat=2):
-        if xi(lam, ld[lam][lam], w) != w:
-            return CheckResult(False, (lam, w), "normalisation")
-    return PASS
+    env = R.tables | {"ld": R.weight_ldiv}
+    composition, normalisation = _D_LAWS[cls]
+    return check(composition, "composition", **env) and check(normalisation, "normalisation", **env)
 
 
 def reconstruct_G(
@@ -337,9 +315,7 @@ def reconstruct_G(
     if cls not in A_CLASSES:
         raise ValueError(f"unknown class {cls!r}")
     for cond in A_CLASS_CONDITIONS[cls]:
-        res = check_ternary_condition(t.M, cond)
-        if not res:
-            raise ClassViolation(cond, res.witness)
+        check_ternary_condition(t.M, cond).require(ClassViolation)
     n = t.L.order
     if not 0 <= basepoint < n:
         raise IndexOutOfRange(f"basepoint {basepoint} outside 0..{n - 1}")
@@ -375,16 +351,10 @@ def is_D_morphism(f, V, V2) -> bool:
     fm = tuple(f.map) if isinstance(f, Bijection) else tuple(int(x) for x in f)
     if len(fm) != L.order or any(not 0 <= x < L2.order for x in fm):
         return False
-    n = L.order
-    mul, mul2 = L.rows, L2.rows
-    for u, v in product(range(n), repeat=2):
-        if fm[mul[u][v]] != mul2[fm[u]][fm[v]]:
-            return False
-    for lam, u, v in product(range(n), repeat=3):
-        a, b = R.r[lam][u][v]
-        if R2.r[fm[lam]][fm[u]][fm[v]] != (fm[a], fm[b]):
-            return False
-    return True
+    return bool(
+        check(_HOMOMORPHISM, n=L.order, m=L2.order, f=fm, mul=flatten(L.rows), mul2=flatten(L2.rows))
+        and check(_INTERTWINES, **R.tables, m=R2.set_order, f=fm, r2=R2.tables["r"])
+    )
 
 
 def conjugation_selfcheck(t: Triple) -> bool:
@@ -398,39 +368,9 @@ def conjugation_selfcheck(t: Triple) -> bool:
     implementation bug.
     """
     R = build_dyb(t, checked=False)
-    n = t.L.order
-    mul = t.L.rows
-    ld = t.L.ldiv
-    p = t.pi.map
-    q = t.pi.inverse
-    mu = t.M.mu
-    r = R.r
-
-    for lam, u, v in product(range(n), repeat=3):
-        x1 = mul[lam][u]
-        x2 = mul[x1][v]
-        y1 = q[mu(p[lam], p[x1], p[x2])]
-        # swap o (two-step)^-1 o (pi x pi)^-1 o s(pi(lam)) o (pi x pi) o two-step
-        if (ld[y1][x2], ld[lam][y1]) != r[lam][u][v]:
-            return False
-
-    for lam, u, v, w in product(range(n), repeat=4):
-        a1 = mul[lam][u]
-        a2 = mul[a1][v]
-        a3 = mul[a2][w]
-        eta_uv, xi_uv = r[lam][u][v]
-        # legs 1-2 route: conjugate s(pi(lam)) on the first two slots
-        b1 = q[mu(p[lam], p[a1], p[a2])]
-        got = (ld[lam][b1], ld[b1][a2], ld[a2][a3])
-        if got != (xi_uv, eta_uv, w):
-            return False
-        # legs 2-3 route: conjugate the middle-slot triple map
-        c2 = q[mu(p[a1], p[a2], p[a3])]
-        got = (ld[lam][a1], ld[a1][c2], ld[c2][a3])
-        eta_vw, xi_vw = r[mul[lam][u]][v][w]
-        if got != (u, xi_vw, eta_vw):
-            return False
-    return True
+    env = R.tables | {"mul": flatten(t.L.rows), "ld": flatten(t.L.ldiv), "mu": t.M.flat,
+                      "p": t.pi.map, "q": t.pi.inverse}
+    return bool(check(_PAIR_FACTORISATION, **env) and check(_TRIPLE_FACTORISATION, **env))
 
 
 def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:

@@ -1,0 +1,164 @@
+"""One evaluator for every exhaustive identity check (README: "How checks
+are evaluated").  Grids below CROSSOVER points run as generated nested loops
+with early exit, larger ones as numpy slabs; both return the
+lexicographically first failing tuple.
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+import textwrap
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
+
+from .result import PASS, CheckResult
+
+#: Grid size from which numpy slabs beat the early-exit loop (README).
+CROSSOVER = 1000
+
+#: Most points in one slab, unless one value of the first variable spans
+#: more; bounds the memory of every temporary.
+SLAB_POINTS = 4096
+
+
+class FlatTable:
+    """A flat table as a tuple, for the loop, and lazily as int32, for slabs
+    (a table too large for int32 indices would not fit in memory as a tuple);
+    a table of pairs is a (2, N) array there."""
+
+    __slots__ = ("values", "_array")
+
+    def __init__(self, values):
+        self.values = tuple(values)
+        self._array = None
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            a = np.array(self.values, dtype=np.int32)
+            self._array = a.T.copy() if a.ndim == 2 else a
+        return self._array
+
+
+def flatten(rows) -> tuple:
+    """Nested rows as one row-major tuple."""
+    return tuple(chain.from_iterable(rows))
+
+
+class _FlatLookups(ast.NodeTransformer):
+    """Rewrite `T(x1, ..., xk)` as `T[(x1*n + x2)*n + ... + xk]`."""
+
+    def visit_Call(self, node: ast.Call) -> ast.Subscript:
+        self.generic_visit(node)
+        index = node.args[0]
+        for arg in node.args[1:]:
+            index = ast.BinOp(ast.BinOp(index, ast.Mult(), ast.Name("n")), ast.Add(), arg)
+        return ast.Subscript(node.func, index)
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {x.id for x in ast.walk(node) if isinstance(x, ast.Name)}
+
+
+def _slab_step(step: ast.Assign) -> str:
+    """A step of a slab, where `a, b = T[i]` reads a (2, N) table of pairs."""
+    if isinstance(step.targets[0], ast.Tuple) and isinstance(step.value, ast.Subscript):
+        t, i = ast.unparse(step.value.value), ast.unparse(step.value.slice)
+        return f"_i = {i}; {ast.unparse(step.targets[0])} = {t}[0][_i], {t}[1][_i]"
+    return ast.unparse(step)
+
+
+class Identity:
+    """`body` holds for every value of the space-separated `variables`.
+
+    `body` is assignments ending in `lhs == rhs`, whose sides may be tuples
+    compared componentwise; `T(x, y, z)` reads the flat row-major table T at
+    `(x*n + y)*n + z`, and a table with another stride is subscripted
+    explicitly.  `a, b = T(...)` unpacks an entry of a table of pairs.  A
+    variable `x` ranges over 0..n-1 and `x:h` over 0..h-1.
+    """
+
+    def __init__(self, variables: str, body: str):
+        specs = [v.partition(":") for v in variables.split()]
+        self.variables = tuple(name for name, _, _ in specs)
+        self.sizes = tuple(size or "n" for _, _, size in specs)
+        self.body = body
+
+    @cached_property
+    def _compiled(self):
+        """(params, scan, slab): the names to supply and the two evaluators."""
+        tree = _FlatLookups().visit(ast.parse(textwrap.dedent(self.body)))
+        *steps, equation = tree.body
+        sides = (equation.value.left, equation.value.comparators[0])
+        lhs, rhs = (s.elts if isinstance(s, ast.Tuple) else [s] for s in sides)
+        pairs = list(zip(lhs, rhs, strict=True))
+        assigned = set().union(*(_names(s.targets[0]) for s in steps))
+        params = sorted(_names(tree) - assigned - set(self.variables) | {"n"})
+        src = ast.unparse
+
+        # Loop i + 1 binds variable i; each assignment goes in the loop that
+        # binds the last of the names it reads.
+        k = len(self.variables)
+        level = {v: i + 1 for i, v in enumerate(self.variables)}
+        placed = [[] for _ in range(k + 1)]
+        for s in steps:
+            at = max((level[x] for x in _names(s.value) if x in level), default=0)
+            level.update(dict.fromkeys(_names(s.targets[0]), at))
+            placed[at].append(src(s))
+        lines = ["def scan(_env):"]
+        lines += [f"    {p} = _env[{p!r}]; {p} = {p}.values if type({p}) is FlatTable else {p}"
+                  for p in params]
+        lines += [f"    _r{i} = range(_env[{s!r}])" for i, s in enumerate(self.sizes)]
+        lines += ["    " + s for s in placed[0]]
+        for i, v in enumerate(self.variables, 1):
+            lines += [f"{'    ' * i}for {v} in _r{i - 1}:", *("    " * (i + 1) + s for s in placed[i])]
+        pad = "    " * (k + 1)
+        lines += [
+            pad + "if " + " or ".join(f"{src(a)} != {src(b)}" for a, b in pairs) + ":",
+            f"{pad}    return ({', '.join(self.variables)},)",
+            "    return None",
+            f"def slab({', '.join([*self.variables, *params])}):",
+            *("    " + _slab_step(s) for s in steps),
+            "    return " + " | ".join(f"({src(a)} != {src(b)})" for a, b in pairs),
+        ]
+        namespace = {"FlatTable": FlatTable}
+        exec("\n".join(lines), namespace)
+        return params, namespace["scan"], namespace["slab"]
+
+
+def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
+    """Evaluate `ident` exhaustively; a failure carries the first witness and
+    `label`.  `env` supplies every table (a FlatTable or a flat tuple), size
+    and constant the declaration names, `n` included."""
+    witness = _first_failure(ident, env)
+    return PASS if witness is None else CheckResult(False, witness, label)
+
+
+def _first_failure(ident: Identity, env: dict) -> tuple[int, ...] | None:
+    if math.prod(map(env.__getitem__, ident.sizes)) < CROSSOVER:
+        return _loop_first(ident, env)
+    return _slab_first(ident, env)
+
+
+def _loop_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
+    return ident._compiled[1](env)
+
+
+def _slab_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
+    params, _, slab = ident._compiled
+    arrays = {p: FlatTable(x).array if isinstance(x := env[p], tuple) else getattr(x, "array", x)
+              for p in params}
+    sizes = [env[s] for s in ident.sizes]
+    axes = [a.astype(np.int32) for a in np.ogrid[tuple(slice(s) for s in sizes)]]
+    step = max(1, SLAB_POINTS // math.prod(sizes[1:]))
+    for start in range(0, sizes[0], step):
+        first = axes[0][start : start + step]
+        shape = (len(first), *sizes[1:])
+        bad = np.flatnonzero(np.broadcast_to(slab(first, *axes[1:], **arrays), shape))
+        if bad.size:
+            a, *rest = np.unravel_index(bad[0], shape)
+            return (start + int(a), *map(int, rest))
+    return None

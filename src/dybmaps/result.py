@@ -22,5 +22,10 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.holds
 
+    def require(self, error: type[Exception]) -> None:
+        """Raise `error(label, witness)` unless the check holds."""
+        if not self.holds:
+            raise error(self.label, self.witness)
+
 
 PASS = CheckResult(True)

@@ -23,7 +23,7 @@ import numpy as np
 from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasigroup
 from .engine import Triple, build_dyb, verify_qdybe
 from .errors import OrderTooLarge
-from .ternary import TernaryTable, braid_check, check_ternary_condition
+from .ternary import TernaryTable, braid_check, check_ternary_condition, satisfies_m1m2
 
 MAX_LEFT_QUASIGROUP_ORDER = 4
 MAX_QUASIGROUP_ORDER = 5
@@ -343,27 +343,27 @@ def canonicalize(x):
     return canon, aut
 
 
-def _census_shard(args) -> tuple[int, int, list]:
-    n, rows, pi_map, first = args
-    L = validate_left_quasigroup(BinaryTable.from_rows(rows))
-    pi = Bijection.make(pi_map)
-    size = n**3
-    total = 0
-    num_m1m2 = 0
+def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, list]:
+    """Total, M1-and-M2 count and disagreeing rows of the census over `tables`."""
+    total = num_m1m2 = 0
     disagreements = []
-    for rest in product(range(n), repeat=size - 1):
-        M = TernaryTable(n, (first,) + rest)
+    for M in tables:
         total += 1
-        m12 = bool(check_ternary_condition(M, "M1")) and bool(
-            check_ternary_condition(M, "M2")
-        )
+        m12 = satisfies_m1m2(M)
         q = bool(verify_qdybe(build_dyb(Triple(L, M, pi), checked=False)))
         b = bool(braid_check(M))
-        if m12:
-            num_m1m2 += 1
+        num_m1m2 += m12
         if not (m12 == q == b):
             disagreements.append((M.table, m12, q, b))
     return total, num_m1m2, disagreements
+
+
+def _census_shard(args) -> tuple[int, int, list]:
+    n, rows, pi_map, first = args
+    tables = (TernaryTable(n, (first,) + rest) for rest in product(range(n), repeat=n**3 - 1))
+    return _census_tables(
+        tables, validate_left_quasigroup(BinaryTable.from_rows(rows)), Bijection.make(pi_map)
+    )
 
 
 def census_theorem31(
@@ -406,22 +406,9 @@ def census_theorem31(
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
-        size = n**3
-        total = 0
-        num_m1m2 = 0
-        disagreements = []
-        for _ in range(sample):
-            M = TernaryTable(n, tuple(rng.randrange(n) for _ in range(size)))
-            total += 1
-            m12 = bool(check_ternary_condition(M, "M1")) and bool(
-                check_ternary_condition(M, "M2")
-            )
-            q = bool(verify_qdybe(build_dyb(Triple(L, M, pi), checked=False)))
-            b = bool(braid_check(M))
-            if m12:
-                num_m1m2 += 1
-            if not (m12 == q == b):
-                disagreements.append((M.table, m12, q, b))
+        tables = (TernaryTable(n, tuple(rng.randrange(n) for _ in range(n**3)))
+                  for _ in range(sample))
+        total, num_m1m2, disagreements = _census_tables(tables, L, pi)
         mode = "sample"
     return CensusReport(
         order=n,

@@ -9,21 +9,39 @@ dynamical Yang-Baxter map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
 from .binary import Bijection, LeftQuasigroup, check_binary_condition
 from .errors import IdempotenceRequired, PreconditionFailed
-from .result import PASS, CheckResult
+from .kernel import FlatTable, Identity, check
+from .result import CheckResult
 
-#: Identities checkable on a ternary table:
-#:   M1   mu(a, mu(a,b,c), mu(mu(a,b,c), c, d)) = mu(a, b, mu(b,c,d))
-#:   M2   mu(mu(a,b,c), c, d) = mu(mu(a,b,mu(b,c,d)), mu(b,c,d), d)
-#:   A11  mu(a, b, mu(b,c,d)) = mu(a, c, d)      A12  mu(a,a,b) = b
-#:   A21  mu(mu(a,b,c), c, d) = mu(a, b, d)      A22  mu(a,b,b) = a
-#:   A31  mu(a,b,c) = mu(d, b, mu(a,d,c))        A32  mu(a,a,b) = b
-#:   U    mu(a, mu(a,b,c), c) = b   (self-inverse pair maps; unitarity)
-TERNARY_CONDITIONS = ("M1", "M2", "A11", "A12", "A21", "A22", "A31", "A32", "U")
+#: Identities checkable on a ternary table mu(a, b, c), witnesses in variable
+#: order; U makes the pair maps self-inverse (unitarity).
+_A12 = Identity("a b", "mu(a, a, b) == b")
+_TERNARY = {
+    "M1": Identity("a b c d", "x = mu(a, b, c); mu(a, x, mu(x, c, d)) == mu(a, b, mu(b, c, d))"),
+    "M2": Identity("a b c d", "y = mu(b, c, d); mu(mu(a, b, c), c, d) == mu(mu(a, b, y), y, d)"),
+    "A11": Identity("a b c d", "mu(a, b, mu(b, c, d)) == mu(a, c, d)"),
+    "A12": _A12,
+    "A21": Identity("a b c d", "mu(mu(a, b, c), c, d) == mu(a, b, d)"),
+    "A22": Identity("a b", "mu(a, b, b) == a"),
+    "A31": Identity("a b c d", "mu(a, b, c) == mu(d, b, mu(a, d, c))"),
+    "A32": _A12,
+    "U": Identity("a b c", "mu(a, mu(a, b, c), c) == b"),
+}
+TERNARY_CONDITIONS = tuple(_TERNARY)
+
+# The braid relation of braid_check, on the first two slots.
+_BRAID = Identity("a x y z", """
+    x1 = mu(a, x, y); y2 = mu(x, y, z); m1 = mu(x1, y, z); x2 = mu(a, x, y2)
+    (mu(a, x1, m1), m1) == (x2, mu(x2, y2, z))
+""")
+
+# h(mu(a,b,c)) = mu'(h(a), h(b), h(c)), with mu' of order m.
+_HOM = Identity("a b c", "h(mu(a, b, c)) == mu2[(h(a) * m + h(b)) * m + h(c)]")
 
 #: Identities required of each derived-from-binary family.
 MU_G_PRECONDITIONS = {1: ("LQ1",), 2: ("LQ1",), 3: ("LQ22", "LQ21")}
@@ -61,70 +79,20 @@ class TernaryTable:
         n = self.order
         return self.table[(a * n + b) * n + c]
 
+    @cached_property
+    def flat(self) -> FlatTable:
+        return FlatTable(self.table)
+
 
 def check_ternary_condition(M: TernaryTable, cond: str) -> CheckResult:
     """Exhaustively test one of TERNARY_CONDITIONS; witness is lexicographically first."""
-    n = M.order
-    t = M.table
-    rng = range(n)
-
-    def mu(a, b, c):
-        return t[(a * n + b) * n + c]
-
-    if cond == "M1":
-        for a, b, c, d in product(rng, repeat=4):
-            x = mu(a, b, c)
-            if mu(a, x, mu(x, c, d)) != mu(a, b, mu(b, c, d)):
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "M2":
-        for a, b, c, d in product(rng, repeat=4):
-            y = mu(b, c, d)
-            if mu(mu(a, b, c), c, d) != mu(mu(a, b, y), y, d):
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "A11":
-        for a, b, c, d in product(rng, repeat=4):
-            if mu(a, b, mu(b, c, d)) != mu(a, c, d):
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "A12":
-        for a, b in product(rng, repeat=2):
-            if mu(a, a, b) != b:
-                return CheckResult(False, (a, b), cond)
-        return PASS
-    if cond == "A21":
-        for a, b, c, d in product(rng, repeat=4):
-            if mu(mu(a, b, c), c, d) != mu(a, b, d):
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "A22":
-        for a, b in product(rng, repeat=2):
-            if mu(a, b, b) != a:
-                return CheckResult(False, (a, b), cond)
-        return PASS
-    if cond == "A31":
-        for a, b, c, d in product(rng, repeat=4):
-            if mu(a, b, c) != mu(d, b, mu(a, d, c)):
-                return CheckResult(False, (a, b, c, d), cond)
-        return PASS
-    if cond == "A32":
-        for a, b in product(rng, repeat=2):
-            if mu(a, a, b) != b:
-                return CheckResult(False, (a, b), cond)
-        return PASS
-    if cond == "U":
-        for a, b, c in product(rng, repeat=3):
-            if mu(a, mu(a, b, c), c) != b:
-                return CheckResult(False, (a, b, c), cond)
-        return PASS
-    raise ValueError(f"unknown ternary condition {cond!r}")
+    if cond not in _TERNARY:
+        raise ValueError(f"unknown ternary condition {cond!r}")
+    return check(_TERNARY[cond], cond, n=M.order, mu=M.flat)
 
 
 def satisfies_m1m2(M: TernaryTable) -> bool:
-    return bool(check_ternary_condition(M, "M1")) and bool(
-        check_ternary_condition(M, "M2")
-    )
+    return bool(check_ternary_condition(M, "M1") and check_ternary_condition(M, "M2"))
 
 
 def make_mu_g(G: LeftQuasigroup, variant: int, checked: bool = True) -> TernaryTable:
@@ -142,9 +110,7 @@ def make_mu_g(G: LeftQuasigroup, variant: int, checked: bool = True) -> TernaryT
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
     if checked:
         for cond in MU_G_PRECONDITIONS[variant]:
-            res = check_binary_condition(G, cond)
-            if not res:
-                raise PreconditionFailed(cond, res.witness)
+            check_binary_condition(G, cond).require(PreconditionFailed)
     mul = G.rows
     ld = G.ldiv
     n = G.order
@@ -183,9 +149,7 @@ def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
     """Componentwise operation on pairs, with pair (a1, a2) encoded as a1*n2 + a2."""
     for M in (M1, M2):
         for cond in ("M1", "M2"):
-            res = check_ternary_condition(M, cond)
-            if not res:
-                raise PreconditionFailed(cond, res.witness)
+            check_ternary_condition(M, cond).require(PreconditionFailed)
     n1, n2 = M1.order, M2.order
 
     def fn(a, b, c):
@@ -207,10 +171,7 @@ def is_ternary_hom(h, M: TernaryTable, M2: TernaryTable) -> CheckResult:
         raise ValueError("h must be total on the source carrier")
     if any(not 0 <= x < M2.order for x in hm):
         raise ValueError("h must land in the target carrier")
-    for a, b, c in product(range(M.order), repeat=3):
-        if hm[M.mu(a, b, c)] != M2.mu(hm[a], hm[b], hm[c]):
-            return CheckResult(False, (a, b, c))
-    return PASS
+    return check(_HOM, n=M.order, m=M2.order, h=hm, mu=M.flat, mu2=M2.flat)
 
 
 def point_maps(M: TernaryTable, a: int):
@@ -235,17 +196,4 @@ def braid_check(M: TernaryTable) -> CheckResult:
     Equivalent to M1 and M2 together; the two sides differ exactly in the
     first two slots, which reproduce the M1 and M2 instances at (a,x,y,z).
     """
-    n = M.order
-    t = M.table
-
-    def mu(a, b, c):
-        return t[(a * n + b) * n + c]
-
-    for a, x, y, z in product(range(n), repeat=4):
-        x1 = mu(a, x, y)
-        m1 = mu(x1, y, z)
-        y2 = mu(x, y, z)
-        x2 = mu(a, x, y2)
-        if mu(a, x1, m1) != x2 or m1 != mu(x2, y2, z):
-            return CheckResult(False, (a, x, y, z))
-    return PASS
+    return check(_BRAID, n=M.order, mu=M.flat)

@@ -12,7 +12,6 @@ from dybmaps import (
     check_binary_condition,
     classify_structure,
     enumerate_left_quasigroups,
-    left_divide,
     validate_left_quasigroup,
 )
 
@@ -72,13 +71,13 @@ def test_classify_is_monotone_over_all_order3_tables():
 
 def test_left_divide_examples():
     # 1-based: 2\3 = 3 and 1\3 = 2
-    assert left_divide(TABLE1, 1, 2) == 2
-    assert left_divide(TABLE1, 0, 2) == 1
+    assert TABLE1.left_div(1, 2) == 2
+    assert TABLE1.left_div(0, 2) == 1
     for u, v in product(range(3), repeat=2):
-        assert left_divide(TABLE1, u, TABLE1.mul(u, v)) == v
-        assert TABLE1.mul(u, left_divide(TABLE1, u, v)) == v
+        assert TABLE1.left_div(u, TABLE1.mul(u, v)) == v
+        assert TABLE1.mul(u, TABLE1.left_div(u, v)) == v
     with pytest.raises(IndexOutOfRange):
-        left_divide(TABLE1, 3, 0)
+        TABLE1.left_div(3, 0)
 
 
 def test_binary_conditions_on_table1():

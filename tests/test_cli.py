@@ -77,6 +77,15 @@ def test_build_verify_cycle(capsys, files, tmp_path):
         assert json.loads(out)["holds"]
 
 
+def test_verify_empty_dynmap_exits_2(capsys, tmp_path):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(
+        {"kind": "dynmap", "weight_order": 0, "set_order": 0, "phi": [], "r": []}))
+    code, _, err = run(capsys, "verify", "--check", "qdybe", str(p))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_verify_failure_reports_counterexample(capsys, files, tmp_path):
     out_file = str(tmp_path / "R6.json")
     run(capsys, "build", "--L", files["s3"], "--M", files["mu1s3"],

@@ -15,6 +15,7 @@ from dybmaps import (
     build_correspondence,
     build_dyb,
     check_D_class,
+    check_ternary_condition,
     eq26_family,
     eval_xi,
     is_constant_in_lambda,
@@ -74,6 +75,32 @@ def test_build_guards():
     id2 = Bijection.identity(2)
     with pytest.raises(M1M2Violation):
         build_correspondence(Z2, Z2, bad, id2, id2)
+
+
+def test_build_correspondence_checks_m1_and_m2_once_each(monkeypatch):
+    from conftest import NON_M1M2_FLAT
+
+    from dybmaps import correspondence, engine
+
+    calls = []
+
+    def counting(M, cond):
+        calls.append(cond)
+        return check_ternary_condition(M, cond)
+
+    for mod in (correspondence, engine):
+        monkeypatch.setattr(mod, "check_ternary_condition", counting)
+    build_correspondence(TABLE1, shift(3), MU1, ID3, BIJ3[3])
+    assert sorted(calls) == ["M1", "M2"]
+
+    # a failing table still raises the first failing condition with its witness
+    bad = TernaryTable.from_flat(2, NON_M1M2_FLAT)
+    first = next(r for r in (check_ternary_condition(bad, c) for c in ("M1", "M2")) if not r)
+    Z2 = cyclic(2)
+    id2 = Bijection.identity(2)
+    with pytest.raises(M1M2Violation) as exc:
+        build_correspondence(Z2, Z2, bad, id2, id2)
+    assert (exc.value.condition, exc.value.witness) == (first.label, first.witness)
 
 
 def test_constant_in_lambda():

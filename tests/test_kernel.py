@@ -1,0 +1,177 @@
+"""The identity kernel: loop and slab evaluators, lexicographic witnesses."""
+
+import dataclasses
+import random
+from itertools import product
+
+import pytest
+from conftest import cyclic, lq
+
+from dybmaps import (
+    BINARY_CONDITIONS,
+    TERNARY_CONDITIONS,
+    Bijection,
+    TernaryTable,
+    Triple,
+    braid_check,
+    build_correspondence,
+    build_dyb,
+    check_binary_condition,
+    check_D_class,
+    check_ternary_condition,
+    classify_structure,
+    conjugation_selfcheck,
+    eval_xi,
+    is_D_morphism,
+    is_ternary_hom,
+    make_constant_mu,
+    make_mu_g,
+    verify_braiding,
+    verify_invariance,
+    verify_irf_irf,
+    verify_qdybe,
+    verify_unitary,
+)
+from dybmaps import binary, correspondence, engine, kernel, ternary
+from dybmaps.engine import DynamicalMap
+from dybmaps.kernel import FlatTable, Identity
+
+
+def declared_identities() -> set:
+    found = set()
+    for mod in (binary, ternary, engine, correspondence):
+        for value in vars(mod).values():
+            for item in value.values() if isinstance(value, dict) else (value,):
+                for x in item if isinstance(item, tuple) else (item,):
+                    if isinstance(x, Identity):
+                        found.add(x)
+    return found
+
+
+def random_lq(rng, n):
+    rows = []
+    for _ in range(n):
+        row = list(range(n))
+        rng.shuffle(row)
+        rows.append(row)
+    return lq(rows)
+
+
+def corrupted(rng, table):
+    """The table with one cell moved to another value."""
+    t = list(table.table)
+    i = rng.randrange(len(t))
+    t[i] = (t[i] + rng.randrange(1, table.order)) % table.order
+    return TernaryTable.from_flat(table.order, t)
+
+
+def with_one_pair_changed(rng, R):
+    r = [[list(row) for row in rows] for rows in R.r]
+    lam, u, v = (rng.randrange(R.set_order) for _ in range(3))
+    eta, xi = r[lam][u][v]
+    r[lam][u][v] = ((eta + 1) % R.set_order, xi)
+    return DynamicalMap(R.phi, tuple(tuple(tuple(row) for row in rows) for rows in r))
+
+
+def every_check(n, seed):
+    """Public results of every exhaustive check on seeded tables of order n:
+    random ones, valid ones and valid ones with one cell corrupted."""
+    rng = random.Random(f"{n}/{seed}")
+    G = cyclic(n)
+    L = random_lq(rng, n)
+    pi = Bijection.make(rng.sample(range(n), n))
+    valid = make_mu_g(G, 1)
+    tables = [
+        TernaryTable.from_flat(n, [rng.randrange(n) for _ in range(n**3)]),
+        valid,
+        corrupted(rng, valid),
+    ]
+    out = [classify_structure(H.base) for H in (G, L)]
+    out += [check_binary_condition(H, c) for H in (G, L) for c in BINARY_CONDITIONS]
+    for M in tables:
+        out += [check_ternary_condition(M, c) for c in TERNARY_CONDITIONS]
+        out += [braid_check(M), is_ternary_hom(pi, M, M)]
+        for H in (G, L):
+            R = build_dyb(Triple(H, M, pi), checked=False)
+            for S in (R, with_one_pair_changed(rng, R)):
+                out += [verify_qdybe(S), verify_braiding(S), verify_unitary(S)]
+                out += [verify_invariance(S)] + [check_D_class(S, c) for c in engine.D_CLASSES]
+                out.append(is_D_morphism(pi, (H, R), (H, S)))
+            out.append(conjugation_selfcheck(Triple(H, M, pi)))
+    inst = build_correspondence(L, G, valid, pi, Bijection.identity(n))
+    J = [[list(row) for row in rows] for rows in inst.J]
+    J[0][0][0], J[0][n - 1][n - 1] = J[0][n - 1][n - 1], J[0][0][0]
+    J = tuple(tuple(tuple(row) for row in rows) for rows in J)
+    out += [verify_irf_irf(inst), verify_irf_irf(dataclasses.replace(inst, J=J))]
+    return out
+
+
+def test_loop_and_slab_evaluators_agree_on_every_identity(monkeypatch):
+    seen = set()
+    results = {}
+    for name, evaluate in (("loop", kernel._loop_first), ("slab", kernel._slab_first)):
+
+        def first_failure(ident, env, evaluate=evaluate):
+            seen.add(ident)
+            return evaluate(ident, env)
+
+        monkeypatch.setattr(kernel, "_first_failure", first_failure)
+        results[name] = [every_check(n, seed) for n in range(2, 9) for seed in range(2)]
+    # verdicts, witnesses and labels (and the booleans of the boolean checks)
+    assert results["loop"] == results["slab"]
+    flat = [r for case in results["loop"] for r in case]
+    assert any(r is False or getattr(r, "holds", True) is False for r in flat)
+    assert seen == declared_identities()
+
+
+def reference_witness(n, k, fails):
+    return next((w for w in product(range(n), repeat=k) if fails(*w)), None)
+
+
+def test_planted_witnesses_come_out_lexicographically_first():
+    n = 16
+    cell = Identity("a b c d", "t(a, b, c, d) == 0")
+    for planted in ([(12, 0, 0, 0), (9, 3, 0, 5), (9, 3, 1, 0)], [(15, 15, 15, 15)]):
+        t = [0] * n**4
+        for a, b, c, d in planted:
+            t[((a * n + b) * n + c) * n + d] = 1
+        env = {"n": n, "t": FlatTable(t)}
+        assert kernel._slab_first(cell, env) == min(planted)
+        assert kernel._loop_first(cell, env) == min(planted)
+        assert kernel.check(cell, "cell", **env).witness == min(planted)
+    # a three-variable grid whose slabs hold several values of the first variable
+    n = 20
+    assert kernel.SLAB_POINTS // n**2 > 1
+    cell = Identity("a b c", "t(a, b, c) == 0")
+    t = [0] * n**3
+    for a, b, c in [(19, 0, 0), (13, 5, 1), (13, 0, 19)]:
+        t[(a * n + b) * n + c] = 1
+    assert kernel._slab_first(cell, {"n": n, "t": tuple(t)}) == (13, 0, 19)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_corrupted_cyclic_table_of_order_16_gives_the_first_witness(last):
+    n = 16
+    valid = make_mu_g(cyclic(n), 1)
+    t = list(valid.table)
+    i = len(t) - 1 if last else (9 * n + 4) * n + 11
+    t[i] = (t[i] + 1) % n
+    M = TernaryTable.from_flat(n, t)
+    mu = M.mu
+    for cond, fails in (
+        ("M1", lambda a, b, c, d: mu(a, mu(a, b, c), mu(mu(a, b, c), c, d)) != mu(a, b, mu(b, c, d))),
+        ("M2", lambda a, b, c, d: mu(mu(a, b, c), c, d) != mu(mu(a, b, mu(b, c, d)), mu(b, c, d), d)),
+        ("A31", lambda a, b, c, d: mu(a, b, c) != mu(d, b, mu(a, d, c))),
+    ):
+        res = check_ternary_condition(M, cond)
+        assert res.witness == reference_witness(n, 4, fails) is not None
+        assert res.label == cond
+
+
+def test_d_class_failing_both_laws_reports_composition():
+    L = cyclic(2)
+    R = build_dyb(Triple(L, make_constant_mu(2, [1, 0], "third"), Bijection.identity(2)), checked=False)
+    # the normalisation law xi(lam, lam\lam, w) = w fails too
+    assert any(eval_xi(R, lam, L.left_div(lam, lam), w) != w for lam, w in product(range(2), repeat=2))
+    res = check_D_class(R, "D1")
+    assert not res and res.label == "composition" and res.witness == (0, 0, 0, 0)
