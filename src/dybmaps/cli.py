@@ -161,7 +161,6 @@ def _cmd_search(args) -> int:
         limit=args.limit,
         deadline=args.deadline,
         up_to_iso=args.up_to_iso,
-        jobs=args.jobs,
     )
     summary = {
         "target": report.target,
@@ -213,9 +212,7 @@ def _cmd_correspond(args) -> int:
 def _cmd_census(args) -> int:
     L = _load_lq(args.L) if args.L else None
     pi = _load_as(args.pi, Bijection, "bijection") if args.pi else None
-    report = census_theorem31(
-        args.order, L=L, pi=pi, jobs=args.jobs, sample=args.sample, seed=args.seed
-    )
+    report = census_theorem31(args.order, L=L, pi=pi, sample=args.sample, seed=args.seed)
     doc = {
         "order": report.order,
         "mode": report.mode,
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None, help="soft time bound in seconds")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--emit", help="directory for per-representative JSON files")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("correspond", help="gauge-relate two triples over one ternary table")
@@ -304,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", help="bijection JSON (default: identity)")
     p.add_argument("--sample", type=int, default=None, help="sampled census size for larger orders")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
     return parser

@@ -2,8 +2,9 @@
 
 Enumerates left quasigroups ((n!)^n tables), quasigroups (Latin squares,
 by row-wise backtracking) and ternary tables satisfying the two defining
-identities, either exhaustively or by cell-wise backtracking.  All streams
-emit in lexicographic table order so runs are reproducible and shardable.
+identities, either exhaustively or by cell-wise backtracking.  Every
+target is a stream in lexicographic table order, and one collector applies
+the limit and the deadline to all of them, so runs are reproducible.
 
 No published count exists for the ternary search at any order; totals
 reported here are regression values of this implementation.
@@ -11,7 +12,6 @@ reported here are regression values of this implementation.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,7 +23,7 @@ import numpy as np
 from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasigroup
 from .engine import Triple, build_dyb, verify_qdybe
 from .errors import OrderTooLarge
-from .ternary import TernaryTable, braid_check, check_ternary_condition, satisfies_m1m2
+from .ternary import TernaryTable, braid_check, satisfies_m1m2
 
 MAX_LEFT_QUASIGROUP_ORDER = 4
 MAX_QUASIGROUP_ORDER = 5
@@ -36,10 +36,11 @@ MAX_CANONICAL_ORDER = 8
 class SearchReport:
     """Outcome of a structure search.
 
-    `complete` is False when a limit or deadline cut the walk short, in
-    which case `total` counts only what was found.  `up_to_iso` and
-    `representatives` (canonical forms, one per isomorphism class) are
-    filled only when classification was requested.
+    `complete` is True only when the whole stream was read before the
+    limit or the deadline stopped it; otherwise `total` counts only what
+    was found.  `up_to_iso` and `representatives` (canonical forms, one
+    per isomorphism class) are filled only when classification was
+    requested.
     """
 
     target: str
@@ -138,98 +139,58 @@ def _ternary_consistent(tab: list[int], n: int, quads) -> bool:
     return True
 
 
-def _ternary_backtracking(
-    n: int, limit: int | None, deadline: float | None
-) -> tuple[list[TernaryTable], bool]:
+def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
+    """Tables passing both identities, filling cells in lexicographic order
+    and pruning on any fully determined failing instance.  Yields None at
+    every inner node, so the collector reads the clock in barren subtrees."""
     size = n**3
     quads = list(product(range(n), repeat=4))
     tab = [-1] * size
-    found: list[TernaryTable] = []
-    complete = True
-    t0 = time.perf_counter()
-
-    def walk(cell: int) -> bool:
-        """Returns False to abort the whole search."""
-        nonlocal complete
-        if deadline is not None and time.perf_counter() - t0 > deadline:
-            complete = False
-            return False
-        if cell == size:
-            found.append(TernaryTable(n, tuple(tab)))
-            if limit is not None and len(found) >= limit:
-                complete = False
-                return False
-            return True
-        for value in range(n):
-            tab[cell] = value
-            if _ternary_consistent(tab, n, quads):
-                if not walk(cell + 1):
-                    tab[cell] = -1
-                    return False
+    cell = 0
+    while cell >= 0:
+        tab[cell] += 1
+        if tab[cell] == n:
             tab[cell] = -1
-        return True
-
-    walk(0)
-    return found, complete
-
-
-def _ternary_exhaustive_shard(args) -> list[tuple[int, ...]]:
-    n, first = args
-    size = n**3
-    out = []
-    for rest in product(range(n), repeat=size - 1):
-        M = TernaryTable(n, (first,) + rest)
-        if check_ternary_condition(M, "M1") and check_ternary_condition(M, "M2"):
-            out.append(M.table)
-    return out
+            cell -= 1
+        elif _ternary_consistent(tab, n, quads):
+            if cell < size - 1:
+                cell += 1
+                yield None
+            else:
+                yield TernaryTable(n, tuple(tab))
 
 
-def search_ternary_M1M2(
-    n: int,
-    mode: str = "exhaustive",
-    limit: int | None = None,
-    deadline: float | None = None,
-    up_to_iso: bool = False,
-    jobs: int = 1,
-) -> SearchReport:
-    """Find ternary tables satisfying both defining identities.
+def _all_ternary_tables(n: int) -> Iterator[TernaryTable]:
+    """All n^(n^3) ternary tables of order n, in lexicographic order."""
+    return (TernaryTable(n, flat) for flat in product(range(n), repeat=n**3))
 
-    Exhaustive mode scans all n^(n^3) candidates (n <= 2); backtracking
-    mode fills cells in lexicographic order and prunes on any fully
-    determined failing instance (n <= 3).  Where both run they emit the
-    same tables in the same order.
+
+def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso) -> SearchReport:
+    """Run one table stream under `limit` and `deadline`.
+
+    The stream yields tables in lexicographic order and may yield None
+    between them.  The clock is read after every item: once `deadline`
+    seconds have passed the search stops.  The report is `complete` only
+    when the stream ran out before either bound stopped it; at the limit
+    one more table is pulled to find out.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     t0 = time.perf_counter()
-    if mode == "exhaustive":
-        if n > MAX_TERNARY_EXHAUSTIVE_ORDER:
-            raise OrderTooLarge(f"n^(n^3) growth; refusing n = {n}")
-        if jobs > 1 and n > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                shards = pool.map(
-                    _ternary_exhaustive_shard, [(n, first) for first in range(n)]
-                )
-            flats = [flat for shard in shards for flat in shard]
-            tables = [TernaryTable(n, flat) for flat in sorted(flats)]
-        else:
-            tables = [
-                TernaryTable(n, flat)
-                for first in range(n)
-                for flat in _ternary_exhaustive_shard((n, first))
-            ]
-        if limit is not None:
-            complete = limit >= len(tables)
-            tables = tables[:limit]
-        else:
-            complete = True
-    elif mode == "backtracking":
-        if n > MAX_TERNARY_BACKTRACKING_ORDER:
-            raise OrderTooLarge(f"3^(n^3) tree; refusing n = {n}")
-        tables, complete = _ternary_backtracking(n, limit, deadline)
-    else:
-        raise ValueError(f"mode must be exhaustive or backtracking, got {mode!r}")
-
+    tables = []
+    complete = True
+    for table in stream:
+        if deadline is not None and time.perf_counter() - t0 >= deadline:
+            complete = False
+            break
+        if table is None:
+            continue
+        if len(tables) == limit:
+            complete = False
+            break
+        tables.append(table)
     report = SearchReport(
-        target="ternary-m1m2",
+        target=target,
         order=n,
         mode=mode,
         total=len(tables),
@@ -242,6 +203,33 @@ def search_ternary_M1M2(
     return report
 
 
+def search_ternary_M1M2(
+    n: int,
+    mode: str = "exhaustive",
+    limit: int | None = None,
+    deadline: float | None = None,
+    up_to_iso: bool = False,
+) -> SearchReport:
+    """Find ternary tables satisfying both defining identities.
+
+    Exhaustive mode scans all n^(n^3) candidates (n <= 2); backtracking
+    mode fills cells in lexicographic order and prunes on any fully
+    determined failing instance (n <= 3).  Where both run they emit the
+    same tables in the same order.
+    """
+    if mode == "exhaustive":
+        if n > MAX_TERNARY_EXHAUSTIVE_ORDER:
+            raise OrderTooLarge(f"n^(n^3) growth; refusing n = {n}")
+        stream = (M for M in _all_ternary_tables(n) if satisfies_m1m2(M))
+    elif mode == "backtracking":
+        if n > MAX_TERNARY_BACKTRACKING_ORDER:
+            raise OrderTooLarge(f"3^(n^3) tree; refusing n = {n}")
+        stream = _ternary_backtracking(n)
+    else:
+        raise ValueError(f"mode must be exhaustive or backtracking, got {mode!r}")
+    return _collect("ternary-m1m2", n, mode, stream, limit, deadline, up_to_iso)
+
+
 def search_structures(
     target: str,
     n: int,
@@ -249,39 +237,17 @@ def search_structures(
     limit: int | None = None,
     deadline: float | None = None,
     up_to_iso: bool = False,
-    jobs: int = 1,
 ) -> SearchReport:
     """Uniform entry point over all search targets."""
     if target == "ternary-m1m2":
-        return search_ternary_M1M2(
-            n, mode=mode, limit=limit, deadline=deadline, up_to_iso=up_to_iso, jobs=jobs
-        )
+        return search_ternary_M1M2(n, mode, limit, deadline, up_to_iso)
     if target == "left-quasigroups":
-        stream = enumerate_left_quasigroups(n)
+        stream, mode = enumerate_left_quasigroups(n), "exhaustive"
     elif target == "quasigroups":
-        stream = enumerate_quasigroups(n)
+        stream, mode = enumerate_quasigroups(n), "backtracking"
     else:
         raise ValueError(f"unknown search target {target!r}")
-    t0 = time.perf_counter()
-    tables = []
-    complete = True
-    for lq in stream:
-        if limit is not None and len(tables) >= limit:
-            complete = False
-            break
-        tables.append(lq)
-    report = SearchReport(
-        target=target,
-        order=n,
-        mode="backtracking" if target == "quasigroups" else "exhaustive",
-        total=len(tables),
-        elapsed=time.perf_counter() - t0,
-        complete=complete,
-        tables=tables,
-    )
-    if up_to_iso:
-        _classify_up_to_iso(report)
-    return report
+    return _collect(target, n, mode, stream, limit, deadline, up_to_iso)
 
 
 def _classify_up_to_iso(report: SearchReport) -> None:
@@ -358,19 +324,10 @@ def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, 
     return total, num_m1m2, disagreements
 
 
-def _census_shard(args) -> tuple[int, int, list]:
-    n, rows, pi_map, first = args
-    tables = (TernaryTable(n, (first,) + rest) for rest in product(range(n), repeat=n**3 - 1))
-    return _census_tables(
-        tables, validate_left_quasigroup(BinaryTable.from_rows(rows)), Bijection.make(pi_map)
-    )
-
-
 def census_theorem31(
     n: int = 2,
     L: LeftQuasigroup | None = None,
     pi: Bijection | None = None,
-    jobs: int = 1,
     sample: int | None = None,
     seed: int = 0,
 ) -> CensusReport:
@@ -394,22 +351,14 @@ def census_theorem31(
             raise OrderTooLarge(
                 f"exhaustive census infeasible at n = {n}; pass sample="
             )
-        shards_args = [(n, L.rows, pi.map, first) for first in range(n)]
-        if jobs > 1 and n > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                parts = pool.map(_census_shard, shards_args)
-        else:
-            parts = [_census_shard(a) for a in shards_args]
-        total = sum(p[0] for p in parts)
-        num_m1m2 = sum(p[1] for p in parts)
-        disagreements = sorted(d for p in parts for d in p[2])
+        tables = _all_ternary_tables(n)
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
         tables = (TernaryTable(n, tuple(rng.randrange(n) for _ in range(n**3)))
                   for _ in range(sample))
-        total, num_m1m2, disagreements = _census_tables(tables, L, pi)
         mode = "sample"
+    total, num_m1m2, disagreements = _census_tables(tables, L, pi)
     return CensusReport(
         order=n,
         mode=mode,

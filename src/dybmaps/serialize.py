@@ -45,33 +45,51 @@ def to_jsonable(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_INT = frozenset({int})
+
+
+def _int(x) -> int:
+    """x itself if it is a JSON integer; bools, floats and strings are rejected."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _ints(values) -> tuple:
+    """The values as a tuple, all of them JSON integers.  The type test runs
+    over the whole tuple at once, which is cheaper than an int() per entry."""
+    out = tuple(values)
+    if not _INT.issuperset(map(type, out)):
+        bad = next(x for x in out if type(x) is not int)
+        raise ValueError(f"expected an integer, got {bad!r}")
+    return out
+
+
 def from_jsonable(doc: dict):
+    """The object a document describes.  Entries and orders must be JSON
+    integers: ValueError for floats, bools and strings, as for any other
+    schema violation."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("document must be an object with a 'kind' key")
     kind = doc["kind"]
     if kind == "binary":
-        t = BinaryTable.from_rows(doc["table"])
-        if t.order != doc.get("order", t.order):
+        t = BinaryTable(tuple(map(_ints, doc["table"])))
+        if t.order != _int(doc.get("order", t.order)):
             raise ValueError("declared order disagrees with table shape")
         return t
     if kind == "bijection":
-        b = Bijection.make(doc["map"])
-        if b.order != doc.get("order", b.order):
+        b = Bijection.make(_ints(doc["map"]))
+        if b.order != _int(doc.get("order", b.order)):
             raise ValueError("declared order disagrees with map length")
         return b
     if kind == "ternary":
-        return TernaryTable.from_flat(int(doc["order"]), doc["table"])
+        return TernaryTable(_int(doc["order"]), _ints(doc["table"]))
     if kind == "dynmap":
-        phi = tuple(tuple(int(x) for x in row) for row in doc["phi"])
-        r = tuple(
-            tuple(
-                tuple((int(pair[0]), int(pair[1])) for pair in row)
-                for row in lam_rows
-            )
-            for lam_rows in doc["r"]
-        )
+        # Entries are type-tested in the range loops below.
+        phi = tuple(map(tuple, doc["phi"]))
+        r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
         R = DynamicalMap(phi=phi, r=r)
-        if R.weight_order != int(doc["weight_order"]) or R.set_order != int(
+        if R.weight_order != _int(doc["weight_order"]) or R.set_order != _int(
             doc["set_order"]
         ):
             raise ValueError("declared orders disagree with table shapes")
@@ -84,13 +102,15 @@ def from_jsonable(doc: dict):
         for lam_rows in r:
             for row in lam_rows:
                 for a, b in row:
+                    if type(a) is not int or type(b) is not int:
+                        raise ValueError(f"expected integers, got the pair {[a, b]!r}")
                     if not (0 <= a < R.set_order and 0 <= b < R.set_order):
                         raise ValueError("map output out of range")
         for row in phi:
             if len(row) != R.set_order:
                 raise ValueError("weight-shift row length disagrees")
             for x in row:
-                if not 0 <= x < R.weight_order:
+                if not 0 <= _int(x) < R.weight_order:
                     raise ValueError("weight shift out of range")
         return R
     raise ValueError(f"unknown kind {kind!r}")

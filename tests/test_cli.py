@@ -146,6 +146,13 @@ def test_search_summary_and_emit(capsys, files, tmp_path):
     assert rep0.order == 2
 
 
+def test_search_negative_limit_exits_2(capsys):
+    code, out, err = run(
+        capsys, "search", "--order", "2", "--target", "ternary-m1m2", "--limit", "-3"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_search_left_quasigroups(capsys):
     code, out, _ = run(capsys, "search", "--order", "3", "--target", "left-quasigroups")
     assert code == 0
@@ -192,3 +199,11 @@ def test_emitted_json_reparses(capsys, files, tmp_path):
         "--pi", files["id3"], "-o", out_file)
     R = serialize.load(out_file)
     assert serialize.loads(serialize.dumps(R)) == R
+
+
+@pytest.mark.parametrize("entry", [1.0, True, "1"])
+def test_validate_non_integer_entry_exits_2(capsys, tmp_path, entry):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"kind": "binary", "order": 2, "table": [[0, 1], [entry, 0]]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")

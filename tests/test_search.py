@@ -106,6 +106,40 @@ def test_ternary_search_limits_and_deadline():
         search_ternary_M1M2(2, "magic")
 
 
+def test_modes_agree_at_every_limit_at_order_2():
+    for limit in range(M1M2_COUNT_N2 + 2):
+        ex = search_ternary_M1M2(2, "exhaustive", limit=limit)
+        bt = search_ternary_M1M2(2, "backtracking", limit=limit)
+        assert [m.table for m in ex.tables] == [m.table for m in bt.tables]
+        assert ex.total == bt.total == min(limit, M1M2_COUNT_N2)
+        assert ex.complete == bt.complete == (limit >= M1M2_COUNT_N2)
+
+
+#: Every (target, mode) pair a search can run, each at the largest order it
+#: allows, so a deadline check that only some paths make shows up.
+SEARCH_PATHS = [
+    ("ternary-m1m2", "exhaustive", 2),
+    ("ternary-m1m2", "backtracking", 3),
+    ("left-quasigroups", "exhaustive", 4),
+    ("quasigroups", "backtracking", 5),
+]
+
+
+@pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
+def test_zero_deadline_is_incomplete_on_every_path(target, mode, n):
+    for order in (1, n):
+        rep = search_structures(target, order, mode=mode, deadline=0.0)
+        assert not rep.complete and rep.total == 0
+
+
+@pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
+def test_limit_zero_and_negative_limits_on_every_path(target, mode, n):
+    rep = search_structures(target, n, mode=mode, limit=0)
+    assert rep.total == 0 and not rep.complete
+    with pytest.raises(ValueError):
+        search_structures(target, n, mode=mode, limit=-1)
+
+
 def test_search_structures_targets():
     rep = search_structures("left-quasigroups", 2)
     assert rep.total == 4
@@ -183,12 +217,6 @@ def test_census_holds_for_projection_weight_structure():
     assert rep.total == 256 and rep.agree
 
 
-def test_census_parallel_matches_serial():
-    a = census_theorem31(2)
-    b = census_theorem31(2, jobs=2)
-    assert (a.total, a.num_m1m2, a.agree) == (b.total, b.num_m1m2, b.agree)
-
-
 def test_census_sampled_order3():
     rep = census_theorem31(3, sample=50, seed=0)
     assert rep.total == 50 and rep.mode == "sample"
@@ -200,9 +228,3 @@ def test_census_sampled_order3():
 def test_census_order_guard():
     with pytest.raises(OrderTooLarge):
         census_theorem31(3)
-
-
-def test_parallel_ternary_search_matches_serial():
-    serial = search_ternary_M1M2(2, "exhaustive")
-    parallel = search_ternary_M1M2(2, "exhaustive", jobs=2)
-    assert [m.table for m in serial.tables] == [m.table for m in parallel.tables]

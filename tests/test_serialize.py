@@ -66,3 +66,44 @@ def test_dynmap_output_range_checked():
     }
     with pytest.raises(ValueError):
         serialize.from_jsonable(doc)
+
+
+#: One order-1 document of each kind, and the paths to its integer fields.
+ORDER1_DOCS = {
+    "binary": ({"kind": "binary", "order": 1, "table": [[0]]},
+               [("order",), ("table", 0, 0)]),
+    "bijection": ({"kind": "bijection", "order": 1, "map": [0]},
+                  [("order",), ("map", 0)]),
+    "ternary": ({"kind": "ternary", "order": 1, "table": [0]},
+                [("order",), ("table", 0)]),
+    "dynmap": ({"kind": "dynmap", "weight_order": 1, "set_order": 1,
+                "phi": [[0]], "r": [[[[0, 0]]]]},
+               [("weight_order",), ("set_order",), ("phi", 0, 0),
+                ("r", 0, 0, 0, 0), ("r", 0, 0, 0, 1)]),
+}
+
+
+def _non_integer_cases():
+    for kind, (doc, paths) in ORDER1_DOCS.items():
+        for path in paths:
+            value = doc
+            for key in path:
+                value = value[key]
+            for bad in (float(value), bool(value), str(value)):
+                # The declared order of a binary table or bijection is only
+                # compared with the shape, which already rejects a string.
+                if path == ("order",) and kind in ("binary", "bijection") and isinstance(bad, str):
+                    continue
+                yield pytest.param(kind, path, bad, id=f"{kind}-{'.'.join(map(str, path))}-{bad!r}")
+
+
+@pytest.mark.parametrize("kind, path, bad", _non_integer_cases())
+def test_only_json_integers_accepted(kind, path, bad):
+    doc = json.loads(json.dumps(ORDER1_DOCS[kind][0]))
+    assert serialize.from_jsonable(doc) is not None
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValueError):
+        serialize.from_jsonable(doc)
