@@ -168,6 +168,7 @@ def _cmd_search(args) -> int:
         "mode": report.mode,
         "total": report.total,
         "complete": report.complete,
+        "nodes": report.nodes,
         "up_to_iso": report.up_to_iso,
         "elapsed": report.elapsed,
     }
@@ -279,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("left-quasigroups", "quasigroups", "ternary-m1m2"),
     )
-    p.add_argument("--mode", choices=("exhaustive", "backtracking"), default="exhaustive")
+    p.add_argument("--mode", choices=("exhaustive", "backtracking"), default=None,
+                   help="default: the target's own stream (exhaustive for ternary-m1m2)")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--deadline", type=float, default=None, help="soft time bound in seconds")
     p.add_argument("--up-to-iso", action="store_true")

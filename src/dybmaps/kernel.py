@@ -1,7 +1,8 @@
 """One evaluator for every exhaustive identity check (README: "How checks
 are evaluated").  Grids below CROSSOVER points run as generated nested loops
 with early exit, larger ones as numpy slabs; both return the
-lexicographically first failing tuple.
+lexicographically first failing tuple.  A third generated evaluator, the
+probe, decides one instance on a partially filled table.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ CROSSOVER = 1000
 #: Most points in one slab, unless one value of the first variable spans
 #: more; bounds the memory of every temporary.
 SLAB_POINTS = 4096
+
+#: What a probe returns for an instance that holds or fails; any other
+#: result is the index of the unset cell it is blocked on.
+HOLDS = -1
+FAILS = -2
 
 
 class FlatTable:
@@ -69,6 +75,23 @@ def _slab_step(step: ast.Assign) -> str:
         t, i = ast.unparse(step.value.value), ast.unparse(step.value.slice)
         return f"_i = {i}; {ast.unparse(step.targets[0])} = {t}[0][_i], {t}[1][_i]"
     return ast.unparse(step)
+
+
+class _HoistLookups(ast.NodeTransformer):
+    """Move every lookup, in evaluation order, to lines of its own that
+    return the index read when that cell is unset (-1)."""
+
+    def __init__(self):
+        self.lines = []
+        self.temps = 0
+
+    def visit_Subscript(self, node: ast.Subscript) -> ast.Name:
+        self.generic_visit(node)
+        t = f"_t{self.temps}"
+        self.temps += 1
+        self.lines += [f"_i = {ast.unparse(node.slice)}; {t} = {ast.unparse(node.value)}[_i]",
+                       f"if {t} < 0: return _i"]
+        return ast.Name(t)
 
 
 class Identity:
@@ -128,6 +151,28 @@ class Identity:
         exec("\n".join(lines), namespace)
         return params, namespace["scan"], namespace["slab"]
 
+    @cached_property
+    def _probe(self):
+        """probe(env): the function of the variables that decides one
+        instance on the tables of `env`, read as they are at each call."""
+        *steps, equation = _FlatLookups().visit(ast.parse(textwrap.dedent(self.body))).body
+        hoist = _HoistLookups()
+        for s in steps:
+            value = ast.unparse(hoist.visit(s.value))
+            hoist.lines.append(f"{ast.unparse(s.targets[0])} = {value}")
+        test = ast.unparse(hoist.visit(equation.value))
+        lines = [
+            "def probe(_env):",
+            *(f"    {p} = _env[{p!r}]" for p in self._compiled[0]),
+            f"    def at({', '.join(self.variables)}):",
+            *("        " + line for line in hoist.lines),
+            f"        return {HOLDS} if {test} else {FAILS}",
+            "    return at",
+        ]
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        return namespace["probe"]
+
 
 def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
     """Evaluate `ident` exhaustively; a failure carries the first witness and
@@ -135,6 +180,16 @@ def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
     and constant the declaration names, `n` included."""
     witness = _first_failure(ident, env)
     return PASS if witness is None else CheckResult(False, witness, label)
+
+
+def probe(ident: Identity, **env):
+    """The function of `ident`'s variables that decides one instance on
+    partially filled tables, where -1 marks an unset cell.  It reads the
+    lookups in evaluation order, each after those its index depends on, and
+    returns HOLDS, FAILS, or the index of the first unset cell it read.  The
+    tables in `env` are read anew at each call, so they may be filled in
+    place between calls.  Defined for tables of single values, not pairs."""
+    return ident._probe(env)
 
 
 def _first_failure(ident: Identity, env: dict) -> tuple[int, ...] | None:

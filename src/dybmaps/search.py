@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 from typing import Iterator
 
@@ -23,7 +24,8 @@ import numpy as np
 from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasigroup
 from .engine import Triple, build_dyb, verify_qdybe
 from .errors import OrderTooLarge
-from .ternary import TernaryTable, braid_check, satisfies_m1m2
+from .kernel import FAILS, probe
+from .ternary import _TERNARY, TernaryTable, braid_check, satisfies_m1m2
 
 MAX_LEFT_QUASIGROUP_ORDER = 4
 MAX_QUASIGROUP_ORDER = 5
@@ -38,9 +40,10 @@ class SearchReport:
 
     `complete` is True only when the whole stream was read before the
     limit or the deadline stopped it; otherwise `total` counts only what
-    was found.  `up_to_iso` and `representatives` (canonical forms, one
-    per isomorphism class) are filled only when classification was
-    requested.
+    was found.  `nodes` counts the items the stream yielded: every table
+    read, and in backtracking mode every inner node of the walk too.
+    `up_to_iso` and `representatives` (canonical forms, one per
+    isomorphism class) are filled only when classification was requested.
     """
 
     target: str
@@ -49,6 +52,7 @@ class SearchReport:
     total: int
     elapsed: float
     complete: bool = True
+    nodes: int = 0
     up_to_iso: int | None = None
     representatives: list = field(default_factory=list)
     tables: list = field(default_factory=list)
@@ -113,46 +117,45 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     yield from walk(0)
 
 
-def _ternary_consistent(tab: list[int], n: int, quads) -> bool:
-    """True unless some fully determined identity instance fails.
-
-    Partial tables hold -1 in unset cells; an instance whose evaluation
-    touches an unset cell is skipped, so pruning is sound.
-    """
-    for a, b, c, d in quads:
-        x = tab[(a * n + b) * n + c]
-        y = tab[(b * n + c) * n + d]
-        if x >= 0:
-            xcd = tab[(x * n + c) * n + d]
-            if xcd >= 0:
-                lhs = tab[(a * n + x) * n + xcd]
-                if lhs >= 0 and y >= 0:
-                    rhs = tab[(a * n + b) * n + y]
-                    if rhs >= 0 and lhs != rhs:
-                        return False
-            if y >= 0 and xcd >= 0:
-                aby = tab[(a * n + b) * n + y]
-                if aby >= 0:
-                    r2 = tab[(aby * n + y) * n + d]
-                    if r2 >= 0 and xcd != r2:
-                        return False
-    return True
-
-
 def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     """Tables passing both identities, filling cells in lexicographic order
     and pruning on any fully determined failing instance.  Yields None at
-    every inner node, so the collector reads the clock in barren subtrees."""
+    every inner node, so the collector reads the clock in barren subtrees.
+
+    Every instance of M1 and M2 waits on the watch list of the first unset
+    cell its probe reads.  Setting cell k probes only the instances on
+    list k: one that fails prunes, one that holds drops out, and one still
+    blocked moves to the list of its next unset cell, always after k,
+    recorded on k's trail.  The trail is undone, last move first, before
+    cell k takes its next value or is unset again.
+    """
     size = n**3
-    quads = list(product(range(n), repeat=4))
     tab = [-1] * size
+    watch = [[] for _ in range(size)]
+    for cond in ("M1", "M2"):
+        at = probe(_TERNARY[cond], mu=tab, n=n)
+        for point in product(range(n), repeat=4):
+            instance = partial(at, *point)
+            watch[instance()].append(instance)
+    trail = [[] for _ in range(size)]
     cell = 0
     while cell >= 0:
+        moved = trail[cell]
+        while moved:
+            watch[moved.pop()].pop()
         tab[cell] += 1
         if tab[cell] == n:
             tab[cell] = -1
             cell -= 1
-        elif _ternary_consistent(tab, n, quads):
+            continue
+        for instance in watch[cell]:
+            j = instance()
+            if j >= 0:
+                watch[j].append(instance)
+                moved.append(j)
+            elif j == FAILS:
+                break
+        else:
             if cell < size - 1:
                 cell += 1
                 yield None
@@ -179,7 +182,9 @@ def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso)
     t0 = time.perf_counter()
     tables = []
     complete = True
+    nodes = 0
     for table in stream:
+        nodes += 1
         if deadline is not None and time.perf_counter() - t0 >= deadline:
             complete = False
             break
@@ -196,6 +201,7 @@ def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso)
         total=len(tables),
         elapsed=time.perf_counter() - t0,
         complete=complete,
+        nodes=nodes,
         tables=tables,
     )
     if up_to_iso:
@@ -233,21 +239,25 @@ def search_ternary_M1M2(
 def search_structures(
     target: str,
     n: int,
-    mode: str = "exhaustive",
+    mode: str | None = None,
     limit: int | None = None,
     deadline: float | None = None,
     up_to_iso: bool = False,
 ) -> SearchReport:
-    """Uniform entry point over all search targets."""
+    """Uniform entry point over all search targets.  `mode` None takes the
+    target's own stream (exhaustive for ternary-m1m2); a mode the target
+    does not have is a ValueError."""
     if target == "ternary-m1m2":
-        return search_ternary_M1M2(n, mode, limit, deadline, up_to_iso)
+        return search_ternary_M1M2(n, mode or "exhaustive", limit, deadline, up_to_iso)
     if target == "left-quasigroups":
-        stream, mode = enumerate_left_quasigroups(n), "exhaustive"
+        stream, own = enumerate_left_quasigroups(n), "exhaustive"
     elif target == "quasigroups":
-        stream, mode = enumerate_quasigroups(n), "backtracking"
+        stream, own = enumerate_quasigroups(n), "backtracking"
     else:
         raise ValueError(f"unknown search target {target!r}")
-    return _collect(target, n, mode, stream, limit, deadline, up_to_iso)
+    if mode not in (None, own):
+        raise ValueError(f"target {target} is searched in {own} mode only, got {mode!r}")
+    return _collect(target, n, own, stream, limit, deadline, up_to_iso)
 
 
 def _classify_up_to_iso(report: SearchReport) -> None:

@@ -85,35 +85,54 @@ def from_jsonable(doc: dict):
     if kind == "ternary":
         return TernaryTable(_int(doc["order"]), _ints(doc["table"]))
     if kind == "dynmap":
-        # Entries are type-tested in the range loops below.
-        phi = tuple(map(tuple, doc["phi"]))
-        r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
-        R = DynamicalMap(phi=phi, r=r)
-        if R.weight_order != _int(doc["weight_order"]) or R.set_order != _int(
-            doc["set_order"]
-        ):
-            raise ValueError("declared orders disagree with table shapes")
-        if len(r) != R.weight_order or any(
-            len(lam_rows) != R.set_order
-            or any(len(row) != R.set_order for row in lam_rows)
-            for lam_rows in r
-        ):
-            raise ValueError("map table shape disagrees with declared orders")
-        for lam_rows in r:
-            for row in lam_rows:
-                for a, b in row:
-                    if type(a) is not int or type(b) is not int:
-                        raise ValueError(f"expected integers, got the pair {[a, b]!r}")
-                    if not (0 <= a < R.set_order and 0 <= b < R.set_order):
-                        raise ValueError("map output out of range")
-        for row in phi:
-            if len(row) != R.set_order:
-                raise ValueError("weight-shift row length disagrees")
-            for x in row:
-                if not 0 <= _int(x) < R.weight_order:
-                    raise ValueError("weight shift out of range")
-        return R
+        # A malformed pair is looked for only once reading the map has
+        # failed, so valid maps pay nothing for the message.
+        try:
+            return _dynmap(doc)
+        except (TypeError, ValueError):
+            _require_pairs(doc["r"])
+            raise
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _dynmap(doc: dict) -> DynamicalMap:
+    # Entries are type-tested in the range loops below.
+    phi = tuple(map(tuple, doc["phi"]))
+    r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
+    R = DynamicalMap(phi=phi, r=r)
+    if R.weight_order != _int(doc["weight_order"]) or R.set_order != _int(
+        doc["set_order"]
+    ):
+        raise ValueError("declared orders disagree with table shapes")
+    if len(r) != R.weight_order or any(
+        len(lam_rows) != R.set_order
+        or any(len(row) != R.set_order for row in lam_rows)
+        for lam_rows in r
+    ):
+        raise ValueError("map table shape disagrees with declared orders")
+    for lam_rows in r:
+        for row in lam_rows:
+            for a, b in row:
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"expected integers, got the pair {[a, b]!r}")
+                if not (0 <= a < R.set_order and 0 <= b < R.set_order):
+                    raise ValueError("map output out of range")
+    for row in phi:
+        if len(row) != R.set_order:
+            raise ValueError("weight-shift row length disagrees")
+        for x in row:
+            if not 0 <= _int(x) < R.weight_order:
+                raise ValueError("weight shift out of range")
+    return R
+
+
+def _require_pairs(r) -> None:
+    """ValueError naming the first entry of `r` that is not a pair."""
+    for lam, lam_rows in enumerate(r):
+        for u, row in enumerate(lam_rows):
+            for v, pair in enumerate(row):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ValueError(f"r[{lam}][{u}][{v}] must be a pair of integers, got {pair!r}")
 
 
 def dumps(obj, **kw) -> str:

@@ -86,6 +86,16 @@ def test_verify_empty_dynmap_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("pair", [[0, 0, 5], [0], 0])
+def test_verify_malformed_pair_is_named(capsys, tmp_path, pair):
+    p = tmp_path / "bad-pair.json"
+    p.write_text(json.dumps({"kind": "dynmap", "weight_order": 1, "set_order": 1,
+                             "phi": [[0]], "r": [[[pair]]]}))
+    code, _, err = run(capsys, "verify", "--check", "qdybe", str(p))
+    assert code == 2
+    assert err == f"error: r[0][0][0] must be a pair of integers, got {pair!r}\n"
+
+
 def test_verify_failure_reports_counterexample(capsys, files, tmp_path):
     out_file = str(tmp_path / "R6.json")
     run(capsys, "build", "--L", files["s3"], "--M", files["mu1s3"],
@@ -139,6 +149,7 @@ def test_search_summary_and_emit(capsys, files, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["total"] == 25 and doc["complete"]
+    assert doc["nodes"] == 121
     assert doc["up_to_iso"] == 17
     summary = json.loads((emit / "summary.json").read_text())
     assert summary["emitted"] == 17
@@ -157,6 +168,23 @@ def test_search_left_quasigroups(capsys):
     code, out, _ = run(capsys, "search", "--order", "3", "--target", "left-quasigroups")
     assert code == 0
     assert json.loads(out)["total"] == 216
+
+
+@pytest.mark.parametrize("target, own, other", [
+    ("left-quasigroups", "exhaustive", "backtracking"),
+    ("quasigroups", "backtracking", "exhaustive"),
+])
+def test_search_mode_the_target_lacks_exits_2(capsys, target, own, other):
+    code, out, _ = run(capsys, "search", "--order", "2", "--target", target)
+    assert code == 0 and json.loads(out)["mode"] == own
+    code, out, err = run(capsys, "search", "--order", "2", "--target", target, "--mode", other)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_search_ternary_default_mode_is_exhaustive(capsys):
+    code, out, _ = run(capsys, "search", "--order", "2", "--target", "ternary-m1m2")
+    doc = json.loads(out)
+    assert code == 0 and doc["mode"] == "exhaustive" and doc["nodes"] == doc["total"] == 25
 
 
 def test_correspond(capsys, files):

@@ -26,6 +26,7 @@ from dybmaps import (
     is_ternary_hom,
     make_constant_mu,
     make_mu_g,
+    search_ternary_M1M2,
     verify_braiding,
     verify_invariance,
     verify_irf_irf,
@@ -175,3 +176,79 @@ def test_d_class_failing_both_laws_reports_composition():
     assert any(eval_xi(R, lam, L.left_div(lam, lam), w) != w for lam, w in product(range(2), repeat=2))
     res = check_D_class(R, "D1")
     assert not res and res.label == "composition" and res.witness == (0, 0, 0, 0)
+
+
+def m1_reference(mu, a, b, c, d):
+    x = mu(a, b, c)
+    return mu(a, x, mu(x, c, d)) == mu(a, b, mu(b, c, d))
+
+
+def m2_reference(mu, a, b, c, d):
+    y = mu(b, c, d)
+    return mu(mu(a, b, c), c, d) == mu(mu(a, b, y), y, d)
+
+
+class Blocked(Exception):
+    pass
+
+
+def reference_probe(holds, tab, n, point):
+    """HOLDS, FAILS, or the first unset cell read in the declaration's order."""
+
+    def mu(a, b, c):
+        i = (a * n + b) * n + c
+        if tab[i] < 0:
+            raise Blocked(i)
+        return tab[i]
+
+    try:
+        return kernel.HOLDS if holds(mu, *point) else kernel.FAILS
+    except Blocked as blocked:
+        return blocked.args[0]
+
+
+def probe_tables(n, rng):
+    """Complete tables of order n: random, valid, corrupted and found by search."""
+    valid = make_mu_g(cyclic(n), 1)
+    found = search_ternary_M1M2(n, "backtracking", limit=40).tables
+    return [
+        *(TernaryTable.from_flat(n, [rng.randrange(n) for _ in range(n**3)]) for _ in range(4)),
+        valid,
+        corrupted(rng, valid),
+        *found[:: max(1, len(found) // 8)],
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_probe_fails_exactly_where_check_fails(n):
+    rng = random.Random(n)
+    failed = 0
+    for M in probe_tables(n, rng):
+        tab = list(M.table)
+        for cond, holds in (("M1", m1_reference), ("M2", m2_reference)):
+            at = kernel.probe(ternary._TERNARY[cond], mu=tab, n=n)
+            results = {point: at(*point) for point in product(range(n), repeat=4)}
+            assert set(results.values()) <= {kernel.HOLDS, kernel.FAILS}
+            failing = [point for point, r in results.items() if r == kernel.FAILS]
+            assert failing == [p for p in results if not holds(M.mu, *p)]
+            assert check_ternary_condition(M, cond).witness == (failing[0] if failing else None)
+            failed += len(failing)
+    assert failed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_probe_on_partial_tables_stops_at_the_first_unset_cell(n):
+    rng = random.Random(10 + n)
+    for M in probe_tables(n, rng):
+        for _ in range(6):
+            tab = list(M.table)
+            if rng.random() < 0.5:  # a prefix, as the search fills cells
+                k = rng.randrange(n**3)
+                tab[k:] = [-1] * (n**3 - k)
+            else:
+                for i in rng.sample(range(n**3), rng.randrange(1, n**3)):
+                    tab[i] = -1
+            for cond, holds in (("M1", m1_reference), ("M2", m2_reference)):
+                at = kernel.probe(ternary._TERNARY[cond], mu=tab, n=n)
+                for point in product(range(n), repeat=4):
+                    assert at(*point) == reference_probe(holds, tab, n, point)

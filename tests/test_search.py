@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from conftest import TABLE1, cyclic, shift
@@ -20,6 +20,9 @@ from dybmaps import (
     search_structures,
     search_ternary_M1M2,
 )
+from dybmaps import kernel
+from dybmaps.search import _ternary_backtracking
+from dybmaps.ternary import _TERNARY
 
 #: Number of order-2 ternary tables passing both defining identities,
 #: pinned by this implementation's exhaustive 256-table scan.
@@ -69,6 +72,83 @@ def test_ternary_search_counts_and_mode_agreement():
     assert ex.complete and bt.complete
     one = search_ternary_M1M2(1, "exhaustive")
     assert one.total == 1
+
+
+def rescan_consistent(tab, n):
+    """True unless some fully determined M1 or M2 instance fails; -1 marks
+    an unset cell.  The reference rescans every instance at every node."""
+    for a, b, c, d in product(range(n), repeat=4):
+        x = tab[(a * n + b) * n + c]
+        y = tab[(b * n + c) * n + d]
+        if x >= 0:
+            xcd = tab[(x * n + c) * n + d]
+            if xcd >= 0:
+                lhs = tab[(a * n + x) * n + xcd]
+                if lhs >= 0 and y >= 0:
+                    rhs = tab[(a * n + b) * n + y]
+                    if rhs >= 0 and lhs != rhs:
+                        return False
+            if y >= 0 and xcd >= 0:
+                aby = tab[(a * n + b) * n + y]
+                if aby >= 0:
+                    r2 = tab[(aby * n + y) * n + d]
+                    if r2 >= 0 and xcd != r2:
+                        return False
+    return True
+
+
+def rescan_backtracking(n):
+    """The reference walk: the same cell order and yields, checked by rescan."""
+    size = n**3
+    tab = [-1] * size
+    cell = 0
+    while cell >= 0:
+        tab[cell] += 1
+        if tab[cell] == n:
+            tab[cell] = -1
+            cell -= 1
+        elif rescan_consistent(tab, n):
+            if cell < size - 1:
+                cell += 1
+                yield None
+            else:
+                yield TernaryTable(n, tuple(tab))
+
+
+@pytest.mark.parametrize("n, items", [(1, None), (2, None), (3, 20_000)])
+def test_watched_walk_matches_the_rescan_node_for_node(n, items):
+    watched = list(islice(_ternary_backtracking(n), items))
+    assert watched == list(islice(rescan_backtracking(n), items))
+    assert items is None or len(watched) == items
+    assert any(x is None for x in watched) == (n > 1)
+
+
+@pytest.mark.parametrize("n, items", [(2, None), (3, 3000)])
+def test_watch_lists_hold_exactly_the_blocked_instances(n, items):
+    # At every inner node, the lists of the unset cells hold each instance
+    # still blocked once, on the list of the cell its probe stops at.
+    points = list(product(range(n), repeat=4))
+    walk = _ternary_backtracking(n)
+    for item in islice(walk, items):
+        if item is not None:
+            continue
+        state = walk.gi_frame.f_locals
+        tab, watch, cell = state["tab"], state["watch"], state["cell"]
+        waiting = [(x.func, x.args, j) for j in range(cell, n**3) for x in watch[j]]
+        assert all(at(*point) == j for at, point, j in waiting)
+        assert len({(at, point) for at, point, _ in waiting}) == len(waiting)
+        fresh = [kernel.probe(_TERNARY[cond], mu=tab, n=n) for cond in ("M1", "M2")]
+        assert len(waiting) == sum(at(*point) >= 0 for at in fresh for point in points)
+
+
+def test_nodes_count_every_item_of_the_stream():
+    # values of the rescan walk, read under the same collector
+    assert search_ternary_M1M2(1, "backtracking").nodes == 1
+    assert search_ternary_M1M2(2, "backtracking").nodes == 121
+    assert search_ternary_M1M2(2, "backtracking", limit=10).nodes == 42
+    assert search_ternary_M1M2(3, "backtracking", limit=120).nodes == 404
+    assert search_ternary_M1M2(2, "exhaustive").nodes == M1M2_COUNT_N2
+    assert search_structures("quasigroups", 3, limit=5).nodes == 6
 
 
 def test_ternary_search_closure_at_order_2():
@@ -138,6 +218,17 @@ def test_limit_zero_and_negative_limits_on_every_path(target, mode, n):
     assert rep.total == 0 and not rep.complete
     with pytest.raises(ValueError):
         search_structures(target, n, mode=mode, limit=-1)
+
+
+@pytest.mark.parametrize("target, own, other", [
+    ("left-quasigroups", "exhaustive", "backtracking"),
+    ("quasigroups", "backtracking", "exhaustive"),
+])
+def test_search_structures_mode_is_the_targets_own_or_an_error(target, own, other):
+    assert search_structures(target, 2).mode == own
+    assert search_structures(target, 2, mode=own).mode == own
+    with pytest.raises(ValueError):
+        search_structures(target, 2, mode=other)
 
 
 def test_search_structures_targets():

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from conftest import TABLE1, corpus_triples
 
-from dybmaps import Bijection, build_dyb, make_mu_g
+from dybmaps import Bijection, Triple, build_dyb, make_mu_g
 from dybmaps import serialize
 
 
@@ -54,6 +55,15 @@ def test_bad_documents_rejected():
         )
     with pytest.raises(TypeError):
         serialize.to_jsonable(42)
+
+
+@pytest.mark.parametrize("pair", [[0, 0, 5], [0], 0])
+def test_malformed_dynmap_pair_is_named_by_position(pair):
+    doc = serialize.to_jsonable(build_dyb(Triple(TABLE1, make_mu_g(TABLE1, 1), Bijection.identity(3))))
+    doc["r"][1][0][2] = pair
+    message = f"r[1][0][2] must be a pair of integers, got {pair!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize.from_jsonable(doc)
 
 
 def test_dynmap_output_range_checked():
