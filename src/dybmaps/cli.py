@@ -171,6 +171,7 @@ def _cmd_search(args) -> int:
         "nodes": report.nodes,
         "up_to_iso": report.up_to_iso,
         "elapsed": report.elapsed,
+        "classify_s": report.classify_s,
     }
     if args.emit:
         outdir = Path(args.emit)

@@ -8,6 +8,7 @@ probe, decides one instance on a partially filled table.
 from __future__ import annotations
 
 import ast
+import copy
 import math
 import textwrap
 from functools import cached_property
@@ -69,6 +70,34 @@ def _names(node: ast.AST) -> set[str]:
     return {x.id for x in ast.walk(node) if isinstance(x, ast.Name)}
 
 
+def _level(node: ast.AST, level: dict) -> int:
+    """The loop that binds the last of the names `node` reads (0: none)."""
+    return max((level.get(x, 0) for x in _names(node)), default=0)
+
+
+def _hoist(node: ast.AST, at: int, level: dict, placed: list, temps: dict) -> ast.AST:
+    """`node`, evaluated in loop `at`, with each largest subexpression that
+    reads nothing bound there computed once, as a temporary, in the loop
+    that binds the last name it reads: `(lam*n + u)*n` goes to the loop
+    over u, not the one over w.  `temps` shares equal subexpressions."""
+    home = _level(node, level)
+    if home < at and isinstance(node, ast.expr) and not isinstance(node, (ast.Name, ast.Constant)):
+        code = ast.unparse(node)
+        if code not in temps:
+            value = ast.unparse(_hoist(node, home, level, placed, temps))
+            temps[code] = f"_h{len(temps)}"
+            placed[home].append(f"{temps[code]} = {value}")
+        return ast.Name(temps[code])
+    node = copy.copy(node)
+    for name, value in ast.iter_fields(node):
+        if isinstance(value, ast.AST):
+            setattr(node, name, _hoist(value, at, level, placed, temps))
+        elif isinstance(value, list):
+            setattr(node, name, [_hoist(v, at, level, placed, temps) if isinstance(v, ast.AST) else v
+                                 for v in value])
+    return node
+
+
 def _slab_step(step: ast.Assign) -> str:
     """A step of a slab, where `a, b = T[i]` reads a (2, N) table of pairs."""
     if isinstance(step.targets[0], ast.Tuple) and isinstance(step.value, ast.Subscript):
@@ -123,14 +152,19 @@ class Identity:
         src = ast.unparse
 
         # Loop i + 1 binds variable i; each assignment goes in the loop that
-        # binds the last of the names it reads.
+        # binds the last of the names it reads, and so does each partial
+        # index or lookup within it (_hoist).
         k = len(self.variables)
         level = {v: i + 1 for i, v in enumerate(self.variables)}
         placed = [[] for _ in range(k + 1)]
+        temps = {}
         for s in steps:
-            at = max((level[x] for x in _names(s.value) if x in level), default=0)
+            at = _level(s.value, level)
+            value = _hoist(s.value, at, level, placed, temps)
             level.update(dict.fromkeys(_names(s.targets[0]), at))
-            placed[at].append(src(s))
+            placed[at].append(f"{src(s.targets[0])} = {src(value)}")
+        pairs_scan = [(src(_hoist(a, k, level, placed, temps)), src(_hoist(b, k, level, placed, temps)))
+                      for a, b in pairs]
         lines = ["def scan(_env):"]
         lines += [f"    {p} = _env[{p!r}]; {p} = {p}.values if type({p}) is FlatTable else {p}"
                   for p in params]
@@ -140,7 +174,7 @@ class Identity:
             lines += [f"{'    ' * i}for {v} in _r{i - 1}:", *("    " * (i + 1) + s for s in placed[i])]
         pad = "    " * (k + 1)
         lines += [
-            pad + "if " + " or ".join(f"{src(a)} != {src(b)}" for a, b in pairs) + ":",
+            pad + "if " + " or ".join(f"{a} != {b}" for a, b in pairs_scan) + ":",
             f"{pad}    return ({', '.join(self.variables)},)",
             "    return None",
             f"def slab({', '.join([*self.variables, *params])}):",

@@ -12,11 +12,12 @@ reported here are regression values of this implementation.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import permutations, product
+from functools import cache, partial
+from itertools import chain, permutations, product
 from typing import Iterator
 
 import numpy as np
@@ -33,6 +34,12 @@ MAX_TERNARY_EXHAUSTIVE_ORDER = 2
 MAX_TERNARY_BACKTRACKING_ORDER = 3
 MAX_CANONICAL_ORDER = 8
 
+#: Relabelings refined together, and entries gathered at once (surviving
+#: relabelings x cells); together they bound the temporaries of
+#: `canonicalize` (README).
+CANON_CHUNK = 5040
+CANON_BLOCK = 8192
+
 
 @dataclass
 class SearchReport:
@@ -43,7 +50,8 @@ class SearchReport:
     was found.  `nodes` counts the items the stream yielded: every table
     read, and in backtracking mode every inner node of the walk too.
     `up_to_iso` and `representatives` (canonical forms, one per
-    isomorphism class) are filled only when classification was requested.
+    isomorphism class) are filled only when classification was requested,
+    and `classify_s` is then the time it took, apart from `elapsed`.
     """
 
     target: str
@@ -54,6 +62,7 @@ class SearchReport:
     complete: bool = True
     nodes: int = 0
     up_to_iso: int | None = None
+    classify_s: float | None = None
     representatives: list = field(default_factory=list)
     tables: list = field(default_factory=list)
 
@@ -205,7 +214,9 @@ def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso)
         tables=tables,
     )
     if up_to_iso:
+        t0 = time.perf_counter()
         _classify_up_to_iso(report)
+        report.classify_s = time.perf_counter() - t0
     return report
 
 
@@ -275,48 +286,104 @@ def canonicalize(x):
     """Lexicographically minimal relabeling and the automorphism count.
 
     Two tables are isomorphic (related by a bijective relabeling) exactly
-    when their canonical forms are equal.  Scans all n! relabelings.
+    when their canonical forms are equal.  The form is fixed cell by cell
+    in row-major order over all n! relabelings at once, keeping only the
+    relabelings that reach the least entry so far (README: "How canonical
+    forms are computed").  Those left at the end are one coset of the
+    automorphism group, so their number is the automorphism count.
     """
     if isinstance(x, TernaryTable):
-        n = x.order
-        arr = np.array(x.table, dtype=np.int64).reshape(n, n, n)
-        ndim = 3
+        n, axes, entries = x.order, 3, x.table
     elif isinstance(x, (BinaryTable, LeftQuasigroup)):
         base = x.base if isinstance(x, LeftQuasigroup) else x
-        n = base.order
-        arr = np.array(base.rows, dtype=np.int64)
-        ndim = 2
+        n, axes, entries = base.order, 2, chain.from_iterable(base.rows)
     else:
         raise TypeError(f"cannot canonicalize {type(x).__name__}")
     if n > MAX_CANONICAL_ORDER:
         raise OrderTooLarge(f"n! relabelings; refusing n = {n}")
 
-    orig = arr.tobytes()
-    best = None
-    best_bytes = None
-    aut = 0
-    for perm in permutations(range(n)):
-        sigma = np.array(perm, dtype=np.int64)
-        inv = np.empty(n, dtype=np.int64)
-        inv[sigma] = np.arange(n)
-        if ndim == 2:
-            cand = sigma[arr[np.ix_(inv, inv)]]
-        else:
-            cand = sigma[arr[np.ix_(inv, inv, inv)]]
-        cb = cand.tobytes()
-        if cb == orig:
-            aut += 1
-        if best_bytes is None or cb < best_bytes:
-            best_bytes = cb
-            best = cand
-    flat = [int(v) for v in best.ravel()]
+    table = np.fromiter(entries, np.uint8, n**axes)
+    cells = np.indices((n,) * axes, np.uint8).reshape(axes, -1)
+    perms, inverses = _relabelings(n)
+    best, aut = None, 0
+    for start in range(0, len(perms), CANON_CHUNK):
+        chunk = slice(start, start + CANON_CHUNK)
+        found = _refine(table, cells, perms[chunk], inverses[chunk], best)
+        if found is not None:
+            form, count, below = found
+            best, aut = (form, count) if below else (best, aut + count)
+    flat = best.tolist()
     if isinstance(x, TernaryTable):
         return TernaryTable(n, tuple(flat)), aut
-    canon_rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-    canon = BinaryTable(canon_rows)
+    canon = BinaryTable(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
     if isinstance(x, LeftQuasigroup):
         return validate_left_quasigroup(canon), aut
     return canon, aut
+
+
+@cache
+def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! relabelings of 0..n-1 in lexicographic order and their
+    inverses, as read-only (n!, n) uint8 arrays, built on the first call."""
+    count = math.factorial(n)
+    perms = np.fromiter(chain.from_iterable(permutations(range(n))), np.uint8, count * n)
+    perms = perms.reshape(count, n)
+    inverses = np.empty_like(perms)
+    rows = np.arange(count)
+    for v in range(n):
+        inverses[rows, perms[:, v]] = v
+    perms.flags.writeable = inverses.flags.writeable = False
+    return perms, inverses
+
+
+def _refine(table, cells, perms, inverses, best):
+    """(form, count, below): the least table the relabelings `perms` reach,
+    how many reach it, and whether it is below `best` (None counts as
+    above everything).  None as soon as a prefix of the form is above
+    `best`.  `table` is flat; column j of `cells` holds the coordinates of
+    cell j.  A relabeling s takes entry T[i, j, k] to s[T[s^-1 i, s^-1 j,
+    s^-1 k]].
+    """
+    n = perms.shape[1]
+    size = cells.shape[1]
+    # A run of entries below 2^bits, read as one integer, orders runs of
+    # one length lexicographically; `group` entries fill 64 bits.
+    bits = max(1, (n - 1).bit_length())
+    group = 64 // bits
+    weights = np.uint64(1) << np.arange(group - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+    form = np.empty(size, np.uint8)
+    below = best is None
+    start = 0
+    while start < size:
+        count = len(perms)
+        stop = min(size, start + max(1, CANON_BLOCK // count))
+        block = cells[:, start:stop]
+        index = inverses[:, block[0]].astype(np.intp)
+        for axis in block[1:]:
+            index *= n
+            index += inverses[:, axis]
+        values = perms.reshape(-1)[table[index] + np.arange(0, count * n, n)[:, None]]
+        if count > 1:
+            keep = np.ones(count, bool)
+            for j in range(0, stop - start, group):
+                run = values[:, j : j + group]
+                keys = run @ weights[group - run.shape[1] :]
+                keep &= keys == keys[keep].min()
+            least = values[keep.argmax()]
+            if not keep.all():
+                perms, inverses = perms[keep], inverses[keep]
+        else:
+            least = values[0]
+        if not below:
+            ahead = best[start:stop]
+            differ = np.flatnonzero(least != ahead)
+            if differ.size:
+                if least[differ[0]] > ahead[differ[0]]:
+                    return None
+                below = True
+        form[start:stop] = least
+        start = stop
+    return form, len(perms), below
 
 
 def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, list]:

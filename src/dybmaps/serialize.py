@@ -65,13 +65,38 @@ def _ints(values) -> tuple:
     return out
 
 
+#: The nested lists of each kind: field, how many lists deep, and what the
+#: innermost lists hold.
+_SHAPES = {
+    "binary": (("table", 2, "integers"),),
+    "bijection": (("map", 1, "integers"),),
+    "ternary": (("table", 1, "integers"),),
+    "dynmap": (("phi", 2, "integers"), ("r", 3, "pairs")),
+}
+
+
 def from_jsonable(doc: dict):
     """The object a document describes.  Entries and orders must be JSON
     integers: ValueError for floats, bools and strings, as for any other
-    schema violation."""
+    schema violation.  A row that is not a list, or a map entry that is
+    not a pair, is named by its position."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("document must be an object with a 'kind' key")
     kind = doc["kind"]
+    if not (isinstance(kind, str) and kind in _SHAPES):
+        raise ValueError(f"unknown kind {kind!r}")
+    # A malformed row or pair is looked for only once reading has failed,
+    # so valid documents pay nothing for the message.
+    try:
+        return _read(kind, doc)
+    except (TypeError, ValueError):
+        for name, depth, inner in _SHAPES[kind]:
+            if name in doc:
+                _require_shape(doc[name], depth, inner, name)
+        raise
+
+
+def _read(kind: str, doc: dict):
     if kind == "binary":
         t = BinaryTable(tuple(map(_ints, doc["table"])))
         if t.order != _int(doc.get("order", t.order)):
@@ -84,15 +109,7 @@ def from_jsonable(doc: dict):
         return b
     if kind == "ternary":
         return TernaryTable(_int(doc["order"]), _ints(doc["table"]))
-    if kind == "dynmap":
-        # A malformed pair is looked for only once reading the map has
-        # failed, so valid maps pay nothing for the message.
-        try:
-            return _dynmap(doc)
-        except (TypeError, ValueError):
-            _require_pairs(doc["r"])
-            raise
-    raise ValueError(f"unknown kind {kind!r}")
+    return _dynmap(doc)
 
 
 def _dynmap(doc: dict) -> DynamicalMap:
@@ -126,13 +143,17 @@ def _dynmap(doc: dict) -> DynamicalMap:
     return R
 
 
-def _require_pairs(r) -> None:
-    """ValueError naming the first entry of `r` that is not a pair."""
-    for lam, lam_rows in enumerate(r):
-        for u, row in enumerate(lam_rows):
-            for v, pair in enumerate(row):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ValueError(f"r[{lam}][{u}][{v}] must be a pair of integers, got {pair!r}")
+def _require_shape(value, depth: int, inner: str, name: str) -> None:
+    """ValueError naming the first part of `value`, which should be `depth`
+    lists deep around `inner` ("integers" or "pairs"), that is not a list,
+    or an entry that should be a pair and is not."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of {inner if depth == 1 else 'lists'}, got {value!r}")
+    for i, item in enumerate(value):
+        if depth > 1:
+            _require_shape(item, depth - 1, inner, f"{name}[{i}]")
+        elif inner == "pairs" and not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ValueError(f"{name}[{i}] must be a pair of integers, got {item!r}")
 
 
 def dumps(obj, **kw) -> str:

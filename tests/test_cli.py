@@ -96,6 +96,23 @@ def test_verify_malformed_pair_is_named(capsys, tmp_path, pair):
     assert err == f"error: r[0][0][0] must be a pair of integers, got {pair!r}\n"
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("validate", {"kind": "binary", "order": 2, "table": [[0, 1], 0]},
+     "table[1] must be a list of integers, got 0"),
+    ("classify", {"kind": "ternary", "order": 1, "table": 0}, "table must be a list of integers, got 0"),
+    ("verify", {"kind": "dynmap", "weight_order": 1, "set_order": 1, "phi": [0], "r": [[[[0, 0]]]]},
+     "phi[0] must be a list of integers, got 0"),
+    ("verify", {"kind": "dynmap", "weight_order": 1, "set_order": 1, "phi": [[0]], "r": [[0]]},
+     "r[0][0] must be a list of pairs, got 0"),
+])
+def test_non_list_row_is_named(capsys, tmp_path, command, doc, message):
+    p = tmp_path / "bad-row.json"
+    p.write_text(json.dumps(doc))
+    argv = [command, str(p)] if command != "verify" else [command, "--check", "qdybe", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_failure_reports_counterexample(capsys, files, tmp_path):
     out_file = str(tmp_path / "R6.json")
     run(capsys, "build", "--L", files["s3"], "--M", files["mu1s3"],
@@ -151,6 +168,7 @@ def test_search_summary_and_emit(capsys, files, tmp_path):
     assert doc["total"] == 25 and doc["complete"]
     assert doc["nodes"] == 121
     assert doc["up_to_iso"] == 17
+    assert doc["classify_s"] >= 0
     summary = json.loads((emit / "summary.json").read_text())
     assert summary["emitted"] == 17
     rep0 = serialize.load(emit / "rep-00000.json")
@@ -185,6 +203,7 @@ def test_search_ternary_default_mode_is_exhaustive(capsys):
     code, out, _ = run(capsys, "search", "--order", "2", "--target", "ternary-m1m2")
     doc = json.loads(out)
     assert code == 0 and doc["mode"] == "exhaustive" and doc["nodes"] == doc["total"] == 25
+    assert "classify_s" in doc and doc["classify_s"] is None
 
 
 def test_correspond(capsys, files):

@@ -1,11 +1,15 @@
-from itertools import islice, product
+import math
+import random
+from itertools import islice, permutations, product
 
+import numpy as np
 import pytest
 from conftest import TABLE1, cyclic, shift
 
 from dybmaps import (
     Bijection,
     BinaryTable,
+    LeftQuasigroup,
     OrderTooLarge,
     TernaryTable,
     canonicalize,
@@ -19,8 +23,9 @@ from dybmaps import (
     satisfies_m1m2,
     search_structures,
     search_ternary_M1M2,
+    validate_left_quasigroup,
 )
-from dybmaps import kernel
+from dybmaps import kernel, search
 from dybmaps.search import _ternary_backtracking
 from dybmaps.ternary import _TERNARY
 
@@ -289,6 +294,144 @@ def test_canonicalize_guards():
         canonicalize(TernaryTable.from_flat(9, [0] * 729))
     with pytest.raises(TypeError):
         canonicalize([[0]])
+
+
+def reference_canonicalize(x):
+    """The n!-scan `canonicalize` replaced, kept as the reference: the
+    least relabeling of x as a table of x's kind, the number of
+    relabelings that fix x, and the index, in lexicographic order, of the
+    first relabeling that gives the least one."""
+    if isinstance(x, TernaryTable):
+        n = x.order
+        arr = np.array(x.table, dtype=np.int64).reshape(n, n, n)
+    else:
+        base = x.base if isinstance(x, LeftQuasigroup) else x
+        n = base.order
+        arr = np.array(base.rows, dtype=np.int64)
+    orig = arr.tobytes()
+    best = best_bytes = first = None
+    aut = 0
+    for i, perm in enumerate(permutations(range(n))):
+        sigma = np.array(perm, dtype=np.int64)
+        inv = np.empty(n, dtype=np.int64)
+        inv[sigma] = np.arange(n)
+        cand = sigma[arr[np.ix_(*[inv] * arr.ndim)]]
+        cb = cand.tobytes()
+        if cb == orig:
+            aut += 1
+        if best_bytes is None or cb < best_bytes:
+            best_bytes, best, first = cb, cand, i
+    flat = [int(v) for v in best.ravel()]
+    if isinstance(x, TernaryTable):
+        canon = TernaryTable(n, tuple(flat))
+    else:
+        canon = BinaryTable(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
+        if isinstance(x, LeftQuasigroup):
+            canon = validate_left_quasigroup(canon)
+    return canon, aut, first
+
+
+def assert_canonical_as_reference(x):
+    canon, aut = canonicalize(x)
+    want, want_aut, _ = reference_canonicalize(x)
+    assert type(canon) is type(want)
+    assert (canon, aut) == (want, want_aut)
+
+
+def relabel_ternary(t: TernaryTable, sigma) -> TernaryTable:
+    inv = [0] * t.order
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return TernaryTable.from_function(t.order, lambda a, b, c: sigma[t.mu(inv[a], inv[b], inv[c])])
+
+
+def relabel_binary(t: BinaryTable, sigma) -> BinaryTable:
+    rows = [[0] * t.order for _ in range(t.order)]
+    for u, v in product(range(t.order), repeat=2):
+        rows[sigma[u]][sigma[v]] = sigma[t.rows[u][v]]
+    return BinaryTable.from_rows(rows)
+
+
+def random_left_quasigroup(rng, n):
+    return validate_left_quasigroup(BinaryTable(tuple(tuple(rng.sample(range(n), n)) for _ in range(n))))
+
+
+def random_tables(rng, n):
+    """A ternary table, one over two values only (more ties), a binary
+    table and a left quasigroup of order n."""
+    yield TernaryTable(n, tuple(rng.randrange(n) for _ in range(n**3)))
+    yield TernaryTable(n, tuple(rng.randrange(min(n, 2)) for _ in range(n**3)))
+    yield BinaryTable(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+    yield random_left_quasigroup(rng, n)
+
+
+# Chunk and block sizes far below the defaults split orders 3-6 into many
+# chunks and blocks, so ties and dropped chunks are met at every order.
+@pytest.mark.parametrize("chunk, block", [(None, None), (7, 5), (1, 1), (100, 2)])
+def test_canonicalize_matches_the_scan_on_random_tables(monkeypatch, chunk, block):
+    if chunk is not None:
+        monkeypatch.setattr(search, "CANON_CHUNK", chunk)
+        monkeypatch.setattr(search, "CANON_BLOCK", block)
+    rng = random.Random(f"canonical/{chunk}/{block}")
+    for n in range(1, 7):
+        for _ in range(4 if n < 6 else 1):
+            for x in random_tables(rng, n):
+                assert_canonical_as_reference(x)
+
+
+def test_canonicalize_constant_and_projection_tables():
+    for n in range(1, 7):
+        for f in ([0] * n, [n - 1] * n, list(range(n))):
+            for position in ("first", "middle", "third"):
+                assert_canonical_as_reference(make_constant_mu(n, f, position))
+    assert_canonical_as_reference(make_constant_mu(7, [3] * 7, "middle"))
+    assert_canonical_as_reference(make_constant_mu(7, range(7), "third"))
+    # Order 8 in closed form: every relabeling fixes a projection, and the
+    # constant table is fixed by the 7! relabelings that fix its value.
+    # The projection's tie spans every chunk of relabelings.
+    projection = make_constant_mu(8, range(8), "first")
+    assert canonicalize(projection) == (projection, math.factorial(8))
+    constant = make_constant_mu(8, [5] * 8, "third")
+    assert canonicalize(constant) == (make_constant_mu(8, [0] * 8, "third"), math.factorial(7))
+
+
+def test_canonicalize_least_form_found_in_the_last_chunk():
+    # Only x -> 7 - x takes `late` back to the canonical form it was made
+    # from, whose automorphism group is trivial; it is the last relabeling
+    # of all, in the last chunk.
+    rng = random.Random("late")
+    canon, aut = canonicalize(TernaryTable(8, tuple(rng.randrange(8) for _ in range(512))))
+    late = relabel_ternary(canon, tuple(range(7, -1, -1)))
+    want, want_aut, first = reference_canonicalize(late)
+    assert first >= 7 * math.factorial(7)
+    assert canonicalize(late) == (want, want_aut) == (canon, aut) == (canon, 1)
+
+
+@pytest.mark.parametrize("n, count", [(7, 2), (8, 1)])
+def test_canonicalize_relabeled_pairs(n, count):
+    rng = random.Random(f"pairs/{n}")
+    for k in range(count):
+        t = relabel_ternary(make_mu_g(cyclic(n), 1 + k % 3), rng.sample(range(n), n))
+        b = random_left_quasigroup(rng, n).base
+        for x, y in ((t, relabel_ternary(t, rng.sample(range(n), n))),
+                     (b, relabel_binary(b, rng.sample(range(n), n)))):
+            assert canonicalize(x) == canonicalize(y)
+            if n < 8:
+                assert_canonical_as_reference(y)
+
+
+def test_canonicalize_matches_the_scan_on_order_3_search_tables():
+    for M in search_ternary_M1M2(3, "backtracking", limit=3000).tables:
+        assert_canonical_as_reference(M)
+
+
+def test_classification_time_is_reported_apart():
+    plain = search_ternary_M1M2(2, "backtracking")
+    assert plain.classify_s is None
+    classified = search_ternary_M1M2(2, "backtracking", up_to_iso=True)
+    assert classified.classify_s >= 0 and classified.up_to_iso == 17
+    rep = search_structures("quasigroups", 3, up_to_iso=True)
+    assert rep.classify_s >= 0 and rep.up_to_iso == 5
 
 
 def test_census_exhaustive_n2():

@@ -66,6 +66,29 @@ def test_malformed_dynmap_pair_is_named_by_position(pair):
         serialize.from_jsonable(doc)
 
 
+#: Documents with a row that is not a list, and the message naming it.
+NON_LIST_ROWS = [
+    ({"kind": "binary", "order": 2, "table": [[0, 1], 0]}, "table[1] must be a list of integers, got 0"),
+    ({"kind": "binary", "order": 2, "table": [[0, 1], "10"]},
+     "table[1] must be a list of integers, got '10'"),
+    ({"kind": "binary", "order": 1, "table": 0}, "table must be a list of lists, got 0"),
+    ({"kind": "bijection", "order": 1, "map": 0}, "map must be a list of integers, got 0"),
+    ({"kind": "ternary", "order": 1, "table": 0}, "table must be a list of integers, got 0"),
+    ({"kind": "dynmap", "weight_order": 1, "set_order": 1, "phi": [0], "r": [[[[0, 0]]]]},
+     "phi[0] must be a list of integers, got 0"),
+    ({"kind": "dynmap", "weight_order": 1, "set_order": 1, "phi": [[0]], "r": [[0]]},
+     "r[0][0] must be a list of pairs, got 0"),
+    ({"kind": "dynmap", "weight_order": 1, "set_order": 1, "phi": [[0]], "r": [{"0": 0}]},
+     "r[0] must be a list of lists, got {'0': 0}"),
+]
+
+
+@pytest.mark.parametrize("doc, message", NON_LIST_ROWS)
+def test_non_list_row_is_named_by_position(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize.from_jsonable(doc)
+
+
 def test_dynmap_output_range_checked():
     doc = {
         "kind": "dynmap",
