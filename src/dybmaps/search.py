@@ -34,9 +34,9 @@ MAX_TERNARY_EXHAUSTIVE_ORDER = 2
 MAX_TERNARY_BACKTRACKING_ORDER = 3
 MAX_CANONICAL_ORDER = 8
 
-#: Relabelings refined together, and entries gathered at once (surviving
-#: relabelings x cells); together they bound the temporaries of
-#: `canonicalize` (README).
+#: (table, relabeling) pairs refined together, and entries gathered at once
+#: (surviving pairs x cells); together they bound the temporaries of
+#: `canonicalize` and of classification (README).
 CANON_CHUNK = 5040
 CANON_BLOCK = 8192
 
@@ -272,14 +272,19 @@ def search_structures(
 
 
 def _classify_up_to_iso(report: SearchReport) -> None:
-    seen = {}
-    for table in report.tables:
-        canon, _ = canonicalize(table)
-        key = canon.table if isinstance(canon, TernaryTable) else canon.rows
-        if key not in seen:
-            seen[key] = canon
-    report.representatives = [seen[k] for k in sorted(seen)]
-    report.up_to_iso = len(seen)
+    """Representatives of the classes of `report.tables`: the distinct
+    canonical forms, in lexicographic order, computed in one batch."""
+    tables = report.tables
+    report.representatives = []
+    if tables:
+        n, axes = _shape(tables[0])
+        forms, _ = _least_forms(_stack(tables, n, axes), n, axes)
+        # Sorted rows, each kept unless it equals the one before.
+        forms = forms[np.lexsort(forms.T[::-1])]
+        distinct = np.ones(len(forms), bool)
+        distinct[1:] = (forms[1:] != forms[:-1]).any(axis=1)
+        report.representatives = [_like(tables[0], row.tolist()) for row in forms[distinct]]
+    report.up_to_iso = len(report.representatives)
 
 
 def canonicalize(x):
@@ -292,98 +297,176 @@ def canonicalize(x):
     forms are computed").  Those left at the end are one coset of the
     automorphism group, so their number is the automorphism count.
     """
+    n, axes = _shape(x)
+    forms, auts = _least_forms(_stack([x], n, axes), n, axes)
+    return _like(x, forms[0].tolist()), int(auts[0])
+
+
+def _shape(x) -> tuple[int, int]:
+    """(order, number of arguments) of a table `canonicalize` takes."""
     if isinstance(x, TernaryTable):
-        n, axes, entries = x.order, 3, x.table
+        n, axes = x.order, 3
     elif isinstance(x, (BinaryTable, LeftQuasigroup)):
-        base = x.base if isinstance(x, LeftQuasigroup) else x
-        n, axes, entries = base.order, 2, chain.from_iterable(base.rows)
+        n, axes = x.order, 2
     else:
         raise TypeError(f"cannot canonicalize {type(x).__name__}")
     if n > MAX_CANONICAL_ORDER:
         raise OrderTooLarge(f"n! relabelings; refusing n = {n}")
+    return n, axes
 
-    table = np.fromiter(entries, np.uint8, n**axes)
-    cells = np.indices((n,) * axes, np.uint8).reshape(axes, -1)
-    perms, inverses = _relabelings(n)
-    best, aut = None, 0
-    for start in range(0, len(perms), CANON_CHUNK):
-        chunk = slice(start, start + CANON_CHUNK)
-        found = _refine(table, cells, perms[chunk], inverses[chunk], best)
-        if found is not None:
-            form, count, below = found
-            best, aut = (form, count) if below else (best, aut + count)
-    flat = best.tolist()
+
+def _stack(tables, n: int, axes: int) -> np.ndarray:
+    """Tables of one kind and order as a (tables, n^axes) uint8 array, each
+    row the entries in row-major order."""
+    if axes == 3:
+        entries = chain.from_iterable(t.table for t in tables)
+    else:
+        entries = chain.from_iterable(chain.from_iterable(t.rows) for t in tables)
+    size = n**axes
+    return np.fromiter(entries, np.uint8, len(tables) * size).reshape(len(tables), size)
+
+
+def _like(x, flat: list):
+    """The table of x's kind whose entries, in row-major order, are `flat`."""
     if isinstance(x, TernaryTable):
-        return TernaryTable(n, tuple(flat)), aut
+        return TernaryTable(x.order, tuple(flat))
+    n = x.order
     canon = BinaryTable(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
-    if isinstance(x, LeftQuasigroup):
-        return validate_left_quasigroup(canon), aut
-    return canon, aut
+    return validate_left_quasigroup(canon) if isinstance(x, LeftQuasigroup) else canon
 
 
 @cache
-def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n! relabelings of 0..n-1 in lexicographic order and their
-    inverses, as read-only (n!, n) uint8 arrays, built on the first call."""
+def _relabelings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n! relabelings of 0..n-1 in lexicographic order, their inverses
+    and the weights that read a run of relabeled entries as one number,
+    all read-only and built on the first call.
+
+    The relabelings and inverses are (n!, 8) uint8 arrays whose first n
+    columns hold them: an 8-byte row moves as one word when pairs are
+    gathered or compressed.  A run of `len(weights)` entries, read as one
+    integer in base max(n, 2), orders runs of one length lexicographically; the
+    integer is below 2^53, so a float64 dot product (BLAS) computes it
+    exactly.
+    """
     count = math.factorial(n)
-    perms = np.fromiter(chain.from_iterable(permutations(range(n))), np.uint8, count * n)
-    perms = perms.reshape(count, n)
-    inverses = np.empty_like(perms)
+    perms = np.zeros((count, MAX_CANONICAL_ORDER), np.uint8)
+    flat = np.fromiter(chain.from_iterable(permutations(range(n))), np.uint8, count * n)
+    perms[:, :n] = flat.reshape(count, n)
+    inverses = np.zeros_like(perms)
     rows = np.arange(count)
     for v in range(n):
         inverses[rows, perms[:, v]] = v
-    perms.flags.writeable = inverses.flags.writeable = False
-    return perms, inverses
+    base, group = max(n, 2), 1
+    while base ** (group + 1) <= 2**53:
+        group += 1
+    weights = float(base) ** np.arange(group - 1, -1, -1)
+    perms.flags.writeable = inverses.flags.writeable = weights.flags.writeable = False
+    return perms, inverses, weights
 
 
-def _refine(table, cells, perms, inverses, best):
-    """(form, count, below): the least table the relabelings `perms` reach,
-    how many reach it, and whether it is below `best` (None counts as
-    above everything).  None as soon as a prefix of the form is above
-    `best`.  `table` is flat; column j of `cells` holds the coordinates of
-    cell j.  A relabeling s takes entry T[i, j, k] to s[T[s^-1 i, s^-1 j,
-    s^-1 k]].
+@cache
+def _cells(n: int, axes: int) -> np.ndarray:
+    """Read-only (axes, n^axes) array: column j holds the coordinates of
+    cell j in row-major order."""
+    cells = np.indices((n,) * axes, np.uint8).reshape(axes, -1)
+    cells.flags.writeable = False
+    return cells
+
+
+def _least_forms(tables: np.ndarray, n: int, axes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms and automorphism counts of a stack of tables.
+
+    The (table, relabeling) pairs, table by table, are refined in chunks
+    of `CANON_CHUNK` pairs.  A table whose relabelings span several chunks
+    is merged as they finish: a smaller form replaces its best, and an
+    equal one adds its count.
     """
-    n = perms.shape[1]
-    size = cells.shape[1]
-    # A run of entries below 2^bits, read as one integer, orders runs of
-    # one length lexicographically; `group` entries fill 64 bits.
-    bits = max(1, (n - 1).bit_length())
-    group = 64 // bits
-    weights = np.uint64(1) << np.arange(group - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
-    form = np.empty(size, np.uint8)
-    below = best is None
+    forms = np.empty_like(tables)
+    auts = np.zeros(len(tables), np.int64)
+    count = math.factorial(n)
+    pairs = len(tables) * count
+    for start in range(0, pairs, CANON_CHUNK):
+        pair = np.arange(start, min(pairs, start + CANON_CHUNK))
+        tab = pair // count
+        _refine(tables, n, axes, tab, pair - tab * count, forms, auts)
+    return forms, auts
+
+
+def _refine(tables, n, axes, tab, rel, forms, auts) -> None:
+    """Refine the pairs (table tab[p], relabeling rel[p]) of one chunk into
+    `forms` and `auts`.
+
+    `tab` is non-decreasing, so each table's pairs are one run, starting at
+    `heads`.  Per block, a pair survives only while its row equals the
+    least row of its own table.  Only the chunk's first table can have a
+    best form from an earlier chunk; its pairs are dropped as soon as a
+    block of their least row is above it.  A relabeling s takes entry
+    T[i, j, k] to s[T[s^-1 i, s^-1 j, s^-1 k]].
+    """
+    perms, inverses, weights = _relabelings(n)
+    inverses = inverses.take(rel, 0)
+    cells = _cells(n, axes)
+    size = tables.shape[1]
+    group = len(weights)
+    first = tab[0]
+    pending = auts[first] > 0
+    heads = _heads(tab)
+    rows = rel * perms.shape[1]  # where each relabeling starts in perms.flat
     start = 0
     while start < size:
-        count = len(perms)
+        count = len(tab)
         stop = min(size, start + max(1, CANON_BLOCK // count))
         block = cells[:, start:stop]
         index = inverses[:, block[0]].astype(np.intp)
         for axis in block[1:]:
             index *= n
             index += inverses[:, axis]
-        values = perms.reshape(-1)[table[index] + np.arange(0, count * n, n)[:, None]]
-        if count > 1:
+        if len(heads) > 1:
+            index += (tab - tab[0])[:, None] * size
+        entries = tables[tab[0] :].reshape(-1)[index]
+        values = perms.reshape(-1)[entries + rows[:, None]]
+        if count > len(heads):
             keep = np.ones(count, bool)
             for j in range(0, stop - start, group):
                 run = values[:, j : j + group]
-                keys = run @ weights[group - run.shape[1] :]
-                keep &= keys == keys[keep].min()
-            least = values[keep.argmax()]
+                keys = np.dot(run, weights[group - run.shape[1] :])
+                if len(heads) == 1:
+                    keep &= keys == keys[keep].min()
+                else:
+                    least = np.minimum.reduceat(np.where(keep, keys, np.inf), heads)
+                    keep &= keys == least[tab - tab[0]]
             if not keep.all():
-                perms, inverses = perms[keep], inverses[keep]
-        else:
-            least = values[0]
-        if not below:
-            ahead = best[start:stop]
-            differ = np.flatnonzero(least != ahead)
+                # compress, not a boolean index: far cheaper on short rows
+                tab, rows, inverses, values = (a.compress(keep, 0) for a in (tab, rows, inverses, values))
+                if len(heads) > 1:
+                    heads = _heads(tab)
+        if pending:
+            ahead = forms[first, start:stop]
+            differ = np.flatnonzero(values[0] != ahead)
             if differ.size:
-                if least[differ[0]] > ahead[differ[0]]:
-                    return None
-                below = True
-        form[start:stop] = least
+                pending = False
+                if values[0, differ[0]] > ahead[differ[0]]:
+                    if len(heads) == 1:
+                        return
+                    cut = heads[1]
+                    tab, rows, inverses, values = tab[cut:], rows[cut:], inverses[cut:], values[cut:]
+                    heads = heads[1:] - cut
+        # Every table from tab[0] to tab[-1] keeps at least one pair.
+        forms[tab[0] : tab[-1] + 1, start:stop] = values[heads]
         start = stop
-    return form, len(perms), below
+    counts = np.bincount(tab - tab[0])
+    if pending:
+        counts[0] += auts[first]
+    auts[tab[0] : tab[-1] + 1] = counts
+
+
+def _heads(tab: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of the sorted array `tab` starts."""
+    if tab[0] == tab[-1]:
+        return np.zeros(1, np.intp)
+    starts = np.ones(len(tab), bool)
+    np.not_equal(tab[1:], tab[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, list]:

@@ -175,6 +175,22 @@ def test_search_summary_and_emit(capsys, files, tmp_path):
     assert rep0.order == 2
 
 
+def test_search_left_quasigroups_up_to_iso_emits_the_classes(capsys, tmp_path):
+    emit = tmp_path / "classes"
+    code, out, _ = run(
+        capsys, "search", "--target", "left-quasigroups", "--order", "3",
+        "--up-to-iso", "--emit", str(emit),
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["total"], doc["up_to_iso"]) == (216, 44)
+    paths = sorted(emit.glob("rep-*.json"))
+    assert len(paths) == 44
+    assert all(json.loads(p.read_text())["kind"] == "binary" for p in paths)
+    rows = [serialize.load(p).rows for p in paths]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
 def test_search_negative_limit_exits_2(capsys):
     code, out, err = run(
         capsys, "search", "--order", "2", "--target", "ternary-m1m2", "--limit", "-3"

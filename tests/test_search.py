@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cache
 from itertools import islice, permutations, product
 
 import numpy as np
@@ -421,8 +422,9 @@ def test_canonicalize_relabeled_pairs(n, count):
 
 
 def test_canonicalize_matches_the_scan_on_order_3_search_tables():
-    for M in search_ternary_M1M2(3, "backtracking", limit=3000).tables:
-        assert_canonical_as_reference(M)
+    tables, want = classified_search("ternary-m1m2", 3, "backtracking")
+    for M, (form, aut, _) in zip(tables[:3000], want):
+        assert canonicalize(M) == (form, aut)
 
 
 def test_classification_time_is_reported_apart():
@@ -432,6 +434,113 @@ def test_classification_time_is_reported_apart():
     assert classified.classify_s >= 0 and classified.up_to_iso == 17
     rep = search_structures("quasigroups", 3, up_to_iso=True)
     assert rep.classify_s >= 0 and rep.up_to_iso == 5
+
+
+def cells(x) -> tuple:
+    """Entries of a ternary or binary table in row-major order."""
+    return x.table if isinstance(x, TernaryTable) else sum(x.rows, ())
+
+
+#: Complete searches that tier-1 classifies: (target, order, mode).
+CLASSIFIED = [
+    ("ternary-m1m2", 3, "backtracking"),  # the first 8000 tables only
+    ("left-quasigroups", 3, None),
+    ("quasigroups", 4, None),
+    ("ternary-m1m2", 2, "exhaustive"),
+    ("ternary-m1m2", 2, "backtracking"),
+]
+
+
+@cache
+def classified_search(target, n, mode):
+    """The tables a search of CLASSIFIED finds, in stream order, and the
+    per-table reference result (form, automorphism count, first index)."""
+    limit = 8000 if (target, n) == ("ternary-m1m2", 3) else None
+    tables = search_structures(target, n, mode=mode, limit=limit).tables
+    return tables, [reference_canonicalize(t) for t in tables]
+
+
+def reference_classes(forms):
+    """One representative per class, in lexicographic order, deduplicated
+    from per-table reference forms."""
+    return list({cells(f): f for f in sorted(forms, key=cells)}.values())
+
+
+# The defaults, then chunk and block sizes far below them, so that one
+# chunk splits a table's relabelings and also holds several tables.  The
+# small sizes refine about one pair and one cell at a time, so they run on
+# a prefix of each search: at most `prefix` tables.  On 40 tables the
+# defaults take every cell in one block, and an order-3 ternary block then
+# spans two runs of entries read as one number.
+@pytest.mark.parametrize("chunk, block, prefix", [
+    (None, None, None), (None, None, 40), (7, 5, 300), (1, 1, 40), (100, 2, 1000),
+])
+@pytest.mark.parametrize("target, n, mode", CLASSIFIED)
+def test_classification_matches_per_table_reference(monkeypatch, target, n, mode, chunk, block, prefix):
+    tables, want = classified_search(target, n, mode)
+    tables, want = tables[:prefix], want[:prefix]
+    if chunk is not None:
+        monkeypatch.setattr(search, "CANON_CHUNK", chunk)
+        monkeypatch.setattr(search, "CANON_BLOCK", block)
+    rep = search.SearchReport(target, n, mode, len(tables), 0.0, tables=tables)
+    search._classify_up_to_iso(rep)
+    classes = reference_classes([w[0] for w in want])
+    assert rep.up_to_iso == len(classes)
+    assert [type(r) for r in rep.representatives] == [type(c) for c in classes]
+    assert rep.representatives == classes
+    # Every table's form and automorphism count, not only the classes.
+    order, axes = search._shape(tables[0])
+    forms, auts = search._least_forms(search._stack(tables, order, axes), order, axes)
+    assert [tuple(f) for f in forms.tolist()] == [cells(w[0]) for w in want]
+    assert auts.tolist() == [w[1] for w in want]
+
+
+@pytest.mark.parametrize("target, n, mode", CLASSIFIED)
+def test_representatives_are_fixed_points_of_canonicalize(target, n, mode):
+    tables, _ = classified_search(target, n, mode)
+    rep = search.SearchReport(target, n, mode, len(tables), 0.0, tables=tables)
+    search._classify_up_to_iso(rep)
+    for r in rep.representatives:
+        assert canonicalize(r)[0] == r
+
+
+@pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
+def test_empty_classification_on_every_path(target, mode, n):
+    for rep in (search_structures(target, n, mode=mode, limit=0, up_to_iso=True),
+                search_structures(target, n, mode=mode, deadline=0.0, up_to_iso=True)):
+        assert rep.total == 0 and rep.up_to_iso == 0 and rep.representatives == []
+        assert rep.classify_s is not None and rep.classify_s >= 0
+    # Order 1: one table, one cell, one relabeling, one class.
+    rep = search_structures(target, 1, mode=mode, up_to_iso=True)
+    assert rep.complete and rep.total == rep.up_to_iso == 1
+    assert rep.representatives == rep.tables
+    assert canonicalize(rep.tables[0]) == (rep.tables[0], 1)
+
+
+#: Isomorphism classes of quasigroups of orders 1-4, the published values
+#: (OEIS A057991).  The left-quasigroup counts are this implementation's
+#: regression values.
+QUASIGROUP_CLASSES = {1: 1, 2: 1, 3: 5, 4: 35}
+LEFT_QUASIGROUP_CLASSES = {1: 1, 2: 3, 3: 44}
+
+
+@pytest.mark.parametrize("target, counts", [
+    ("quasigroups", QUASIGROUP_CLASSES),
+    ("left-quasigroups", LEFT_QUASIGROUP_CLASSES),
+])
+def test_class_counts_and_orbit_stabiliser(target, counts):
+    for n, classes in counts.items():
+        rep = search_structures(target, n, up_to_iso=True)
+        assert rep.complete and rep.up_to_iso == classes
+        # Each class holds n!/|Aut| labelled tables.
+        assert sum(math.factorial(n) // canonicalize(r)[1] for r in rep.representatives) == rep.total
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "backtracking"])
+def test_orbit_stabiliser_on_the_order_2_ternary_search(mode):
+    rep = search_ternary_M1M2(2, mode, up_to_iso=True)
+    assert rep.complete and (rep.total, rep.up_to_iso) == (M1M2_COUNT_N2, 17)
+    assert sum(2 // canonicalize(r)[1] for r in rep.representatives) == rep.total
 
 
 def test_census_exhaustive_n2():
