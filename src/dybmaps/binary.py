@@ -7,9 +7,10 @@ literature with 1-based labels translate by subtracting 1 everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import IndexOutOfRange, NotAPermutation, NotLeftQuasigroup
-from .kernel import Identity, check, flatten
+from .kernel import Identity, check, flatten, in_range
 from .result import CheckResult
 
 Rows = tuple[tuple[int, ...], ...]
@@ -49,6 +50,12 @@ class BinaryTable:
         n = len(self.rows)
         if n < 1:
             raise ValueError("order must be >= 1")
+        try:
+            fine = set(map(len, self.rows)) == {n} and in_range(chain.from_iterable(self.rows), n)
+        except TypeError:  # a row without a length, named by the loop below
+            fine = False
+        if fine:
+            return
         for u, row in enumerate(self.rows):
             if len(row) != n:
                 raise ValueError(f"row {u} has length {len(row)}, expected {n}")

@@ -41,12 +41,13 @@ from .ternary import TernaryTable
 VERIFY_CHECKS = ("qdybe", "braid", "invariance", "unitary", "d1", "d2", "d3")
 
 
-def _emit(doc, out: str | None = None) -> None:
-    text = json.dumps(doc, indent=2)
+def _emit(doc, out: str | Path | None = None) -> None:
+    """Write `doc` to the file `out`, or to stdout, as serialize.encode does."""
+    text = serialize.encode(doc)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _one_based(t) -> tuple:
@@ -180,9 +181,7 @@ def _cmd_search(args) -> int:
         for i, table in enumerate(emitted):
             serialize.dump(table, outdir / f"rep-{i:05d}.json")
         summary["emitted"] = len(emitted)
-        (outdir / "summary.json").write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-        )
+        _emit(summary, outdir / "summary.json")
     _emit(summary)
     return 0
 

@@ -45,14 +45,30 @@ class FlatTable:
     @property
     def array(self) -> np.ndarray:
         if self._array is None:
-            a = np.array(self.values, dtype=np.int32)
-            self._array = a.T.copy() if a.ndim == 2 else a
+            v, size = self.values, len(self.values)
+            if v and type(v[0]) is tuple:
+                flat = np.fromiter(chain.from_iterable(v), np.int32, 2 * size)
+                self._array = flat.reshape(size, 2).T.copy()
+            else:
+                self._array = np.array(v, dtype=np.int32)
         return self._array
 
 
 def flatten(rows) -> tuple:
     """Nested rows as one row-major tuple."""
     return tuple(chain.from_iterable(rows))
+
+
+def in_range(values, n: int) -> bool:
+    """A whole-table test that every value is one of 0..n-1: one C-level
+    pass collects the distinct values, and only those are looked up in
+    range(n).  False where it cannot vouch for a value (0.5, NaN, an
+    unhashable one); callers then loop over the entries, which accepts such
+    values as before or names the first offender."""
+    try:
+        return set(values).issubset(range(n))
+    except TypeError:
+        return False
 
 
 class _FlatLookups(ast.NodeTransformer):

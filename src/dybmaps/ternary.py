@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .binary import Bijection, LeftQuasigroup, check_binary_condition
 from .errors import IdempotenceRequired, PreconditionFailed
-from .kernel import FlatTable, Identity, check
+from .kernel import FlatTable, Identity, check, in_range
 from .result import CheckResult
 
 #: Identities checkable on a ternary table mu(a, b, c), witnesses in variable
@@ -60,9 +60,10 @@ class TernaryTable:
             raise ValueError("order must be >= 1")
         if len(self.table) != n**3:
             raise ValueError(f"table length {len(self.table)}, expected {n**3}")
-        for i, x in enumerate(self.table):
-            if not 0 <= x < n:
-                raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
+        if not in_range(self.table, n):
+            for i, x in enumerate(self.table):
+                if not 0 <= x < n:
+                    raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int, int], int]) -> TernaryTable:

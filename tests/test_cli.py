@@ -3,7 +3,7 @@ import json
 import pytest
 from conftest import TABLE1, s3, shift
 
-from dybmaps import Bijection, make_mu_g
+from dybmaps import Bijection, Triple, build_dyb, make_mu_g, search_structures
 from dybmaps import serialize
 from dybmaps.cli import main
 
@@ -119,9 +119,7 @@ def test_verify_failure_reports_counterexample(capsys, files, tmp_path):
         "--pi", files["id6"], "-o", out_file)
     code, out, err = run(capsys, "verify", "--check", "unitary", out_file)
     assert code == 1
-    doc = json.loads(out)
-    assert not doc["holds"]
-    assert doc["counterexample"] == [0, 1, 2]
+    assert out == '{"check":"unitary","holds":false,"counterexample":[0,1,2]}\n'
     assert "(1, 2, 3)" in err  # 1-based display
 
 
@@ -169,10 +167,13 @@ def test_search_summary_and_emit(capsys, files, tmp_path):
     assert doc["nodes"] == 121
     assert doc["up_to_iso"] == 17
     assert doc["classify_s"] >= 0
-    summary = json.loads((emit / "summary.json").read_text())
-    assert summary["emitted"] == 17
-    rep0 = serialize.load(emit / "rep-00000.json")
-    assert rep0.order == 2
+    assert (emit / "summary.json").read_text(encoding="utf-8") == out
+    assert doc["emitted"] == 17
+    reps = search_structures("ternary-m1m2", 2, mode="backtracking", up_to_iso=True).representatives
+    for i, rep in enumerate(reps):
+        path = emit / f"rep-{i:05d}.json"
+        assert path.read_text(encoding="utf-8") == serialize.dumps(rep)
+        assert serialize.load(path) == rep
 
 
 def test_search_left_quasigroups_up_to_iso_emits_the_classes(capsys, tmp_path):
@@ -254,6 +255,22 @@ def test_census_sampled(capsys):
     code, out, _ = run(capsys, "census", "--order", "3", "--sample", "20", "--seed", "7")
     assert code == 0
     assert json.loads(out)["mode"] == "sample"
+
+
+def test_reports_and_files_are_one_compact_line(capsys, files, tmp_path):
+    R_file, E_file = tmp_path / "R.json", tmp_path / "E.json"
+    code, out, _ = run(capsys, "build", "--L", files["t1"], "--M", files["mu1"],
+                       "--pi", files["id3"], "-o", str(R_file))
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "verify", "--check", "qdybe", str(R_file))
+    assert (code, out) == (0, '{"check":"qdybe","holds":true,"counterexample":null}\n')
+    code, out, _ = run(capsys, "extract", str(R_file), "-o", str(E_file))
+    assert (code, out) == (0, "")
+    M = make_mu_g(TABLE1, 1)
+    for path, obj in ((R_file, build_dyb(Triple(TABLE1, M, Bijection.identity(3)))), (E_file, M)):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(serialize.to_jsonable(obj), separators=(",", ":")) + "\n"
+        assert serialize.load(path) == obj
 
 
 def test_emitted_json_reparses(capsys, files, tmp_path):

@@ -1,11 +1,14 @@
 import json
 import re
+from unittest import mock
 
 import pytest
-from conftest import TABLE1, corpus_triples
+from conftest import TABLE1, corpus_triples, cyclic
 
 from dybmaps import Bijection, Triple, build_dyb, make_mu_g
 from dybmaps import serialize
+from dybmaps.engine import DynamicalMap
+from dybmaps.errors import AlgebraError
 
 
 def test_binary_round_trip(tmp_path):
@@ -140,3 +143,110 @@ def test_only_json_integers_accepted(kind, path, bad):
     target[path[-1]] = bad
     with pytest.raises(ValueError):
         serialize.from_jsonable(doc)
+
+
+# --- The JSON boundary against a per-entry reference -------------------------
+
+
+def reference_dynmap(doc: dict) -> DynamicalMap:
+    """The dynmap reader as a loop over every entry, each check reading the
+    orders from the map: the reference for the messages of the reader."""
+    phi = tuple(map(tuple, doc["phi"]))
+    r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
+    R = DynamicalMap(phi=phi, r=r)
+    if R.weight_order != serialize._int(doc["weight_order"]) or R.set_order != serialize._int(
+        doc["set_order"]
+    ):
+        raise ValueError("declared orders disagree with table shapes")
+    if len(r) != R.weight_order or any(
+        len(lam_rows) != R.set_order
+        or any(len(row) != R.set_order for row in lam_rows)
+        for lam_rows in r
+    ):
+        raise ValueError("map table shape disagrees with declared orders")
+    for lam_rows in r:
+        for row in lam_rows:
+            for a, b in row:
+                if type(a) is not int or type(b) is not int:
+                    raise ValueError(f"expected integers, got the pair {[a, b]!r}")
+                if not (0 <= a < R.set_order and 0 <= b < R.set_order):
+                    raise ValueError("map output out of range")
+    for row in phi:
+        if len(row) != R.set_order:
+            raise ValueError("weight-shift row length disagrees")
+        for x in row:
+            if not 0 <= serialize._int(x) < R.weight_order:
+                raise ValueError("weight shift out of range")
+    return R
+
+
+def rejection(doc):
+    """(exception type, message) with which from_jsonable rejects `doc`, or
+    None if it reads it."""
+    try:
+        serialize.from_jsonable(doc)
+    except (AlgebraError, TypeError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def reference_rejection(doc):
+    with mock.patch.object(serialize, "_dynmap", reference_dynmap):
+        return rejection(doc)
+
+
+def _map_doc(n: int) -> dict:
+    """The document of a valid map of weight and set order n."""
+    L = cyclic(n)
+    return serialize.to_jsonable(build_dyb(Triple(L, make_mu_g(L, 1), Bijection.identity(n))))
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+def _corruptions(n: int):
+    """(path, value) pairs that each make a valid order-n map invalid."""
+    first, last = (0, 0, 0), (n - 1, n - 1, n - 1)
+    for where in (first, last):
+        for slot in (0, 1):
+            for bad in (True, 1.0, "1", n, -1):
+                yield ("r", *where, slot), bad
+        for bad in ([0], [0, 1, 2]):
+            yield ("r", *where), bad
+    for where in ((0, 0), (n - 1, n - 1)):
+        for bad in (n, -1, 1.0, True, "0"):
+            yield ("phi", *where), bad
+    yield ("phi", n - 1), list(range(n - 1))
+
+
+@pytest.mark.parametrize("path, bad", list(_corruptions(5)), ids=repr)
+def test_reader_messages_match_the_reference(path, bad):
+    doc = _map_doc(5)
+    _set(doc, path, bad)
+    expected = reference_rejection(doc)
+    assert expected is not None
+    assert rejection(doc) == expected
+
+
+KINDS = {
+    "binary": TABLE1.base,
+    "bijection": Bijection.make((2, 0, 1)),
+    "ternary": make_mu_g(TABLE1, 2),
+    "dynmap": build_dyb(Triple(TABLE1, make_mu_g(TABLE1, 1), Bijection.identity(3))),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dump_writes_one_compact_line_that_loads_back(tmp_path, kind):
+    obj = KINDS[kind]
+    path = tmp_path / f"{kind}.json"
+    serialize.dump(obj, path)
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(serialize.to_jsonable(obj), separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1 and " " not in text
+    assert json.loads(text)["kind"] == kind
+    assert serialize.load(path) == obj
