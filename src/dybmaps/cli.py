@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import serialize
@@ -230,7 +231,10 @@ def _cmd_census(args) -> int:
     return 0 if report.agree else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every call parses into
+    a fresh namespace, so one call's arguments never reach the next."""
     parser = argparse.ArgumentParser(
         prog="dybmaps",
         description="Construct, verify, search and relate dynamical Yang-Baxter maps on finite carriers.",

@@ -105,38 +105,44 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     if n > MAX_QUASIGROUP_ORDER:
         raise OrderTooLarge(f"Latin square growth; refusing n = {n}")
     perms = list(permutations(range(n)))
+    # Bit c*n + v of a mask: the row puts value v in column c.
+    masks = [sum(1 << c * n + v for c, v in enumerate(perm)) for perm in perms]
     rows: list[tuple[int, ...]] = []
-    used = [set() for _ in range(n)]
 
-    def walk(depth: int) -> Iterator[LeftQuasigroup]:
-        if depth == n:
+    def walk(used: int) -> Iterator[LeftQuasigroup]:
+        if len(rows) == n:
             yield validate_left_quasigroup(BinaryTable(tuple(rows)))
             return
-        for perm in perms:
-            if any(perm[c] in used[c] for c in range(n)):
-                continue
-            rows.append(perm)
-            for c in range(n):
-                used[c].add(perm[c])
-            yield from walk(depth + 1)
-            rows.pop()
-            for c in range(n):
-                used[c].discard(perm[c])
+        for perm, mask in zip(perms, masks):
+            if not mask & used:
+                rows.append(perm)
+                yield from walk(used | mask)
+                rows.pop()
 
     yield from walk(0)
 
 
 def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     """Tables passing both identities, filling cells in lexicographic order
-    and pruning on any fully determined failing instance.  Yields None at
-    every inner node, so the collector reads the clock in barren subtrees.
+    with forward checking.  Yields None at every inner node, so the
+    collector reads the clock in barren subtrees.
 
     Every instance of M1 and M2 waits on the watch list of the first unset
-    cell its probe reads.  Setting cell k probes only the instances on
-    list k: one that fails prunes, one that holds drops out, and one still
-    blocked moves to the list of its next unset cell, always after k,
-    recorded on k's trail.  The trail is undone, last move first, before
-    cell k takes its next value or is unset again.
+    cell its probe reads, and every cell keeps a domain, the bitmask of the
+    values still possible there.  Setting cell k first probes the instance
+    that last failed at k, then the instances on list k: one that fails
+    prunes, one that holds drops out, and one still blocked moves to the
+    list of its next unset cell j, always after k.  The moved instance is
+    then probed once for each value of j's domain, with tab[j] set to it,
+    and every value for which it fails leaves the domain; an empty domain
+    prunes.  Moves and trimmed domains are recorded on k's trail, and the
+    trail is undone, last entry first, before cell k takes its next value
+    or is unset again.  Only values left in a cell's domain are tried.
+
+    A probe fails only when every cell it reads is set, so an instance that
+    fails once k is set would sit on list k anyway: probing the last
+    failure first finds the same prunes, only sooner, and a domain loses
+    only values that no table below the current prefix can take.
     """
     size = n**3
     tab = [-1] * size
@@ -146,23 +152,38 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
         for point in product(range(n), repeat=4):
             instance = partial(at, *point)
             watch[instance()].append(instance)
+    values = [[v for v in range(n) if mask >> v & 1] for mask in range(1 << n)]  # of each domain
+    dom = [(1 << n) - 1] * size
+    last = [watch[0][0]] * size  # any instance may stand in until one fails
     trail = [[] for _ in range(size)]
     cell = 0
     while cell >= 0:
         moved = trail[cell]
         while moved:
-            watch[moved.pop()].pop()
-        tab[cell] += 1
-        if tab[cell] == n:
+            j, dom[j] = moved.pop()
+            watch[j].pop()
+        rest = dom[cell] >> tab[cell] + 1
+        if not rest:
             tab[cell] = -1
             cell -= 1
+            continue
+        tab[cell] += (rest & -rest).bit_length()  # the next value in the domain
+        if last[cell]() == FAILS:
             continue
         for instance in watch[cell]:
             j = instance()
             if j >= 0:
                 watch[j].append(instance)
-                moved.append(j)
+                moved.append((j, dom[j]))
+                for v in values[dom[j]]:
+                    tab[j] = v
+                    if instance() == FAILS:
+                        dom[j] ^= 1 << v
+                tab[j] = -1
+                if not dom[j]:
+                    break
             elif j == FAILS:
+                last[cell] = instance
                 break
         else:
             if cell < size - 1:
@@ -188,6 +209,8 @@ def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso)
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if deadline is not None and not deadline >= 0:  # NaN too
+        raise ValueError(f"deadline must be >= 0 seconds, got {deadline}")
     t0 = time.perf_counter()
     tables = []
     complete = True
@@ -230,10 +253,11 @@ def search_ternary_M1M2(
     """Find ternary tables satisfying both defining identities.
 
     Exhaustive mode scans all n^(n^3) candidates (n <= 2); backtracking
-    mode fills cells in lexicographic order and prunes on any fully
-    determined failing instance (n <= 3).  Where both run they emit the
-    same tables in the same order.
+    mode fills cells in lexicographic order with forward checking (n <= 3).
+    Where both run they emit the same tables in the same order.
     """
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if mode == "exhaustive":
         if n > MAX_TERNARY_EXHAUSTIVE_ORDER:
             raise OrderTooLarge(f"n^(n^3) growth; refusing n = {n}")
@@ -499,6 +523,8 @@ def census_theorem31(
     Exhaustive for n <= 2; pass `sample` for a seeded random census at
     larger orders.
     """
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     if L is None:
         L = validate_left_quasigroup(
             BinaryTable.from_rows([[(u + v) % n for v in range(n)] for u in range(n)])

@@ -3,9 +3,9 @@ import json
 import pytest
 from conftest import TABLE1, s3, shift
 
-from dybmaps import Bijection, Triple, build_dyb, make_mu_g, search_structures
+from dybmaps import Bijection, TernaryTable, Triple, build_dyb, make_mu_g, search_structures
 from dybmaps import serialize
-from dybmaps.cli import main
+from dybmaps.cli import build_parser, main
 
 
 @pytest.fixture
@@ -123,6 +123,23 @@ def test_verify_failure_reports_counterexample(capsys, files, tmp_path):
     assert "(1, 2, 3)" in err  # 1-based display
 
 
+def test_one_parser_carries_no_arguments_from_call_to_call(capsys, files, tmp_path):
+    # The parser is built once per process; each call still parses afresh.
+    assert build_parser() is build_parser()
+    M = str(tmp_path / "bad_mu.json")
+    serialize.dump(TernaryTable.from_function(3, lambda a, b, c: (a + b + c) % 3), M)
+    code, out, _ = run(capsys, "build", "--unchecked", "--L", files["t1"], "--M", M, "--pi", files["id3"])
+    assert code == 0 and json.loads(out)["kind"] == "dynmap"
+    code, out, err = run(capsys, "build", "--L", files["t1"], "--M", M, "--pi", files["id3"])
+    assert (code, out) == (2, "")
+    assert err == "error: condition M1 fails at (0, 0, 1, 0)\n"
+    R6 = str(tmp_path / "R6.json")
+    run(capsys, "build", "--L", files["s3"], "--M", files["mu1s3"], "--pi", files["id6"], "-o", R6)
+    for check, code in (("unitary", 1), ("qdybe", 0), ("unitary", 1), ("qdybe", 0)):
+        got, out, _ = run(capsys, "verify", "--check", check, R6)
+        assert got == code and json.loads(out)["check"] == check
+
+
 def test_build_order_mismatch_exits_2(capsys, files, tmp_path):
     p = str(tmp_path / "id2.json")
     serialize.dump(Bijection.identity(2), p)
@@ -164,7 +181,7 @@ def test_search_summary_and_emit(capsys, files, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["total"] == 25 and doc["complete"]
-    assert doc["nodes"] == 121
+    assert doc["nodes"] == 117
     assert doc["up_to_iso"] == 17
     assert doc["classify_s"] >= 0
     assert (emit / "summary.json").read_text(encoding="utf-8") == out
@@ -197,6 +214,27 @@ def test_search_negative_limit_exits_2(capsys):
         capsys, "search", "--order", "2", "--target", "ternary-m1m2", "--limit", "-3"
     )
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("target, mode, n", [
+    ("ternary-m1m2", "exhaustive", 2),
+    ("ternary-m1m2", "backtracking", 3),
+    ("left-quasigroups", "exhaustive", 4),
+    ("quasigroups", "backtracking", 5),
+])
+@pytest.mark.parametrize("deadline", ["-1", "nan"])
+def test_search_bad_deadline_exits_2(capsys, target, mode, n, deadline):
+    code, out, err = run(capsys, "search", "--order", str(n), "--target", target,
+                         "--mode", mode, "--deadline", deadline)
+    assert (code, out) == (2, "")
+    assert err == f"error: deadline must be >= 0 seconds, got {float(deadline)}\n"
+
+
+def test_census_negative_sample_exits_2(capsys):
+    code, out, err = run(capsys, "census", "--order", "3", "--sample", "-5")
+    assert (code, out, err) == (2, "", "error: sample must be >= 0, got -5\n")
+    code, out, _ = run(capsys, "census", "--order", "3", "--sample", "0")
+    assert code == 0 and json.loads(out)["total"] == 0
 
 
 def test_search_left_quasigroups(capsys):

@@ -70,6 +70,38 @@ def test_quasigroup_counts_and_cross_check():
         next(enumerate_quasigroups(6))
 
 
+def reference_quasigroups(n):
+    """The row-wise walk the integer masks replaced, kept as the reference:
+    it scans a set of used values per column for every permutation."""
+    perms = list(permutations(range(n)))
+    rows = []
+    used = [set() for _ in range(n)]
+
+    def walk(depth):
+        if depth == n:
+            yield validate_left_quasigroup(BinaryTable(tuple(rows)))
+            return
+        for perm in perms:
+            if any(perm[c] in used[c] for c in range(n)):
+                continue
+            rows.append(perm)
+            for c in range(n):
+                used[c].add(perm[c])
+            yield from walk(depth + 1)
+            rows.pop()
+            for c in range(n):
+                used[c].discard(perm[c])
+
+    yield from walk(0)
+
+
+@pytest.mark.parametrize("n, items", [(1, None), (2, None), (3, None), (4, None), (5, 1000)])
+def test_quasigroup_stream_matches_the_set_scan(n, items):
+    got = list(islice(enumerate_quasigroups(n), items))
+    assert got == list(islice(reference_quasigroups(n), items))
+    assert items is None or len(got) == items
+
+
 def test_ternary_search_counts_and_mode_agreement():
     ex = search_ternary_M1M2(2, "exhaustive")
     bt = search_ternary_M1M2(2, "backtracking")
@@ -104,7 +136,8 @@ def rescan_consistent(tab, n):
 
 
 def rescan_backtracking(n):
-    """The reference walk: the same cell order and yields, checked by rescan."""
+    """The reference walk: the same cell order, pruning only where a rescan
+    finds a failing instance, with no watch lists and no domains."""
     size = n**3
     tab = [-1] * size
     cell = 0
@@ -121,12 +154,71 @@ def rescan_backtracking(n):
                 yield TernaryTable(n, tuple(tab))
 
 
+def walk_nodes(walk, items=None, last=None):
+    """The nodes a walk yields, each as the tuple of its set cells: an inner
+    node's prefix, read from the generator's frame, or a table's entries.
+    Stops after `items` items, or before the first node above `last`."""
+    nodes = []
+    for item in islice(walk, items):
+        if item is None:
+            state = walk.gi_frame.f_locals
+            node = tuple(state["tab"][: state["cell"]])
+        else:
+            node = item.table
+        if last is not None and node > last:
+            break
+        nodes.append(node)
+    return nodes
+
+
+@cache
+def rescan_nodes(n, items):
+    """The first `items` nodes of the rescan walk, and the same stretch of
+    the forward-checking walk.  A walk is depth first with values in
+    increasing order, so it yields its nodes in lexicographic order of
+    their tuples, and the stretch ends at the rescan's last node."""
+    want = walk_nodes(rescan_backtracking(n), items)
+    got = walk_nodes(_ternary_backtracking(n), last=want[-1] if items else None)
+    return want, got
+
+
 @pytest.mark.parametrize("n, items", [(1, None), (2, None), (3, 20_000)])
 def test_watched_walk_matches_the_rescan_node_for_node(n, items):
-    watched = list(islice(_ternary_backtracking(n), items))
-    assert watched == list(islice(rescan_backtracking(n), items))
-    assert items is None or len(watched) == items
-    assert any(x is None for x in watched) == (n > 1)
+    # Forward checking prunes some inner nodes the rescan walk visits, so
+    # the two agree on the tables and their order, not on every node.
+    want, got = rescan_nodes(n, items)
+    size = n**3
+    assert [x for x in got if len(x) == size] == [x for x in want if len(x) == size]
+    assert items is None or len(want) == items
+    assert any(len(x) < size for x in got) == (n > 1)
+
+
+@pytest.mark.parametrize("n, items", [(2, None), (3, 20_000)])
+def test_every_inner_node_is_one_of_the_rescan_walk_in_order(n, items):
+    want, got = rescan_nodes(n, items)
+    rest = iter(want)
+    assert all(node in rest for node in got)  # a subsequence of want
+    assert len(got) < len(want)
+
+
+@pytest.mark.parametrize("n, items", [(2, None), (3, 3000)])
+def test_domains_lose_only_values_that_fail_an_instance(n, items):
+    # At every inner node each set cell holds a value of its domain, and
+    # each value missing from an unset cell's domain makes some fully
+    # determined M1 or M2 instance fail.
+    walk = _ternary_backtracking(n)
+    trimmed = 0
+    for item in islice(walk, items):
+        if item is not None:
+            continue
+        state = walk.gi_frame.f_locals
+        tab, dom, cell = state["tab"], state["dom"], state["cell"]
+        assert all(dom[c] >> tab[c] & 1 for c in range(cell))
+        for c, v in product(range(cell, n**3), range(n)):
+            if not dom[c] >> v & 1:
+                trimmed += 1
+                assert not rescan_consistent([*tab[:c], v, *tab[c + 1 :]], n)
+    assert trimmed > 0
 
 
 @pytest.mark.parametrize("n, items", [(2, None), (3, 3000)])
@@ -148,11 +240,12 @@ def test_watch_lists_hold_exactly_the_blocked_instances(n, items):
 
 
 def test_nodes_count_every_item_of_the_stream():
-    # values of the rescan walk, read under the same collector
+    # values of the forward-checking walk, read under the same collector;
+    # the rescan walk yields 121 in place of 117 and 404 in place of 388
     assert search_ternary_M1M2(1, "backtracking").nodes == 1
-    assert search_ternary_M1M2(2, "backtracking").nodes == 121
+    assert search_ternary_M1M2(2, "backtracking").nodes == 117
     assert search_ternary_M1M2(2, "backtracking", limit=10).nodes == 42
-    assert search_ternary_M1M2(3, "backtracking", limit=120).nodes == 404
+    assert search_ternary_M1M2(3, "backtracking", limit=120).nodes == 388
     assert search_ternary_M1M2(2, "exhaustive").nodes == M1M2_COUNT_N2
     assert search_structures("quasigroups", 3, limit=5).nodes == 6
 
@@ -216,6 +309,19 @@ def test_zero_deadline_is_incomplete_on_every_path(target, mode, n):
     for order in (1, n):
         rep = search_structures(target, order, mode=mode, deadline=0.0)
         assert not rep.complete and rep.total == 0
+
+
+@pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
+def test_negative_and_nan_deadlines_are_errors_on_every_path(target, mode, n):
+    for deadline in (-1.0, -1e-9, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="deadline must be >= 0"):
+            search_structures(target, n, mode=mode, deadline=deadline)
+
+
+@pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
+def test_order_zero_is_an_error_on_every_path(target, mode, n):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        search_structures(target, 0, mode=mode)
 
 
 @pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
@@ -566,6 +672,13 @@ def test_census_sampled_order3():
     assert rep.agree
     again = census_theorem31(3, sample=50, seed=0)
     assert rep.num_m1m2 == again.num_m1m2
+
+
+def test_census_sample_size_is_not_negative():
+    with pytest.raises(ValueError, match="sample must be >= 0"):
+        census_theorem31(3, sample=-5)
+    rep = census_theorem31(3, sample=0)
+    assert (rep.mode, rep.total, rep.num_m1m2, rep.agree) == ("sample", 0, 0, True)
 
 
 def test_census_order_guard():
