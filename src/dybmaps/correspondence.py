@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .binary import BinaryTable, Bijection, LeftQuasigroup, check_binary_condition, classify_structure, validate_left_quasigroup
 from .engine import DynamicalMap, Triple, build_dyb
 from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch
@@ -109,13 +111,13 @@ def build_correspondence(
 
 def verify_irf_irf(c: CorrespondenceInstance) -> CheckResult:
     """Check R1(lam1) = J(lam1)^-1 o swap R2(rho lam1) swap o (swap J(lam1) swap)."""
-    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=flatten(flatten(c.J)),
-                 r1=c.R1.tables["r"], r2=c.R2.tables["r"])
+    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=tuple(zip(*flatten(flatten(c.J)))),
+                 r1=c.R1.pairs.reshape(2, -1), r2=c.R2.pairs.reshape(2, -1))
 
 
 def is_constant_in_lambda(R: DynamicalMap) -> bool:
     """True iff R(lam) is the same map for every weight."""
-    return all(rl == R.r[0] for rl in R.r)
+    return bool((R.pairs == R.pairs[:, :1]).all())
 
 
 def vertex_counterpart(
@@ -171,13 +173,9 @@ def eq26_family(G: LeftQuasigroup) -> DynamicalMap:
         raise NotQuasigroup("columns are not permutations")
     check_binary_condition(G, "LQ1").require(LQ1Violation)
     n = G.order
-    gmul = G.rows
-    gld = G.ldiv
-    phi = tuple(tuple(range(n)) for _ in range(n))
-    r = tuple(
-        tuple(
-            tuple((v, gmul[lam][gld[u][v]]) for v in range(n)) for u in range(n)
-        )
-        for lam in range(n)
-    )
-    return DynamicalMap(phi=phi, r=r)
+    gmul, gld = np.array(G.rows, dtype=np.int32), np.array(G.ldiv, dtype=np.int32)
+    lam, _, v = np.ogrid[:n, :n, :n]
+    pairs = np.empty((2, n, n, n), dtype=np.int32)
+    pairs[0] = v
+    pairs[1] = gmul[lam, gld]
+    return DynamicalMap._of(np.tile(np.arange(n, dtype=np.int32), (n, 1)), pairs)

@@ -17,6 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NoReturn
+from itertools import chain
+
+import numpy as np
 
 from .binary import (
     BinaryTable,
@@ -37,7 +41,7 @@ from .errors import (
     ShapeMismatch,
     UnitNotPreserved,
 )
-from .kernel import FlatTable, Identity, check, flatten
+from .kernel import Identity, _axes, check, flatten, require_shape
 from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition
 
@@ -113,48 +117,87 @@ _TRIPLE_FACTORISATION = Identity("lam u v w", """
 """)
 
 
-@dataclass(frozen=True)
 class DynamicalMap:
     """A weight-indexed family of maps on X x X plus the weight shift.
 
-    phi[lam][u] is the shifted weight; r[lam][u][v] is the output pair.
+    The map is two read-only int32 arrays: `shift[lam, u]`, of shape (h, n),
+    is the shifted weight phi(lam, u), and `pairs[:, lam, u, v]`, of shape
+    (2, h, n, n), is the output pair R(lam)(u, v) = (eta, xi), so `pairs[0]`
+    holds eta and `pairs[1]` xi.  `phi[lam][u]` and `r[lam][u][v]` are the
+    same as nested tuples, made on first use for callers that want them;
+    no check reads them.
+
+    `DynamicalMap(phi, r)` takes nested sequences (or arrays) of those
+    shapes and raises ValueError for a map that is empty, ragged, or has an
+    entry that is not an integer or is out of range, with the messages of
+    the JSON reader.
     """
 
-    phi: tuple[tuple[int, ...], ...]
-    r: PairRows
+    def __init__(self, phi, r):
+        self._bind(*_map_arrays(phi, r))
 
-    def __post_init__(self):
-        if not self.phi or not self.phi[0]:
-            raise ValueError("a dynamical map needs at least one weight and one element")
+    @classmethod
+    def _read(cls, phi, r, declared) -> DynamicalMap:
+        """The map of phi and r, checked as the constructor checks them, with
+        `declared(h, n)` run once the orders are read and before any entry
+        is checked: the JSON reader compares a document's orders there."""
+        return cls._of(*_map_arrays(phi, r, declared))
+
+    @classmethod
+    def _of(cls, shift: np.ndarray, pairs: np.ndarray) -> DynamicalMap:
+        """The map of arrays that a builder made valid: (h, n) and (2, h, n, n), int32."""
+        R = cls.__new__(cls)
+        R._bind(shift, pairs)
+        return R
+
+    def _bind(self, shift: np.ndarray, pairs: np.ndarray) -> None:
+        shift.flags.writeable = pairs.flags.writeable = False
+        self.shift, self.pairs = shift, pairs
 
     @property
     def weight_order(self) -> int:
-        return len(self.phi)
+        return self.shift.shape[0]
 
     @property
     def set_order(self) -> int:
-        return len(self.phi[0])
+        return self.shift.shape[1]
+
+    @cached_property
+    def phi(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.shift.tolist()))
+
+    @cached_property
+    def r(self) -> PairRows:
+        eta, xi = self.pairs.tolist()
+        return tuple(tuple(map(tuple, map(zip, e, x))) for e, x in zip(eta, xi))
 
     def sigma(self, lam: int, u: int, v: int) -> tuple[int, int]:
         """The braiding companion: output of R(lam) with slots swapped."""
-        a, b = self.r[lam][u][v]
-        return (b, a)
+        return (int(self.pairs[1, lam, u, v]), int(self.pairs[0, lam, u, v]))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pairs.shape == other.pairs.shape and np.array_equal(self.shift, other.shift)
+                and np.array_equal(self.pairs, other.pairs))
+
+    def __hash__(self) -> int:
+        return hash((self.pairs.shape, self.shift.tobytes(), self.pairs.tobytes()))
 
     def __repr__(self) -> str:
         return f"DynamicalMap(weight_order={self.weight_order}, set_order={self.set_order})"
 
     @cached_property
-    def tables(self) -> dict:
-        """The map as the identity kernel reads it, flattened once: sizes n
-        and h, phi(lam, u), r(lam, u, v) the pair R(lam)(u, v), and eta, xi
-        its two slots."""
-        pairs = flatten(flatten(self.r))
-        eta, xi = zip(*pairs)
-        return {"n": self.set_order, "h": self.weight_order, "phi": FlatTable(flatten(self.phi)),
-                "r": FlatTable(pairs), "eta": FlatTable(eta), "xi": FlatTable(xi)}
+    def _tables(self) -> dict:
+        """The map as the identity kernel reads it, in views of the two
+        arrays, not copies: sizes n and h, phi(lam, u), r(lam, u, v) the pair
+        R(lam)(u, v) as two rows, and eta, xi those rows."""
+        pairs = self.pairs.reshape(2, -1)
+        return {"n": self.set_order, "h": self.weight_order, "phi": self.shift.reshape(-1),
+                "r": pairs, "eta": pairs[0], "xi": pairs[1]}
 
     @cached_property
-    def weight_ldiv(self) -> tuple:
+    def weight_ldiv(self) -> np.ndarray:
         """Left division of phi read as a multiplication, row-major: lam\\u at
         lam*n + u.  ShapeMismatch unless phi is a left-quasigroup multiplication."""
         if self.weight_order != self.set_order:
@@ -162,9 +205,95 @@ class DynamicalMap:
                 f"weight order {self.weight_order} != set order {self.set_order}"
             )
         try:
-            return flatten(validate_left_quasigroup(BinaryTable.from_rows(self.phi)).ldiv)
-        except (NotLeftQuasigroup, ValueError) as exc:
+            lq = validate_left_quasigroup(BinaryTable(tuple(map(tuple, self.shift.tolist()))))
+        except NotLeftQuasigroup as exc:
             raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
+        ld = np.array(lq.ldiv, dtype=np.int32).reshape(-1)
+        ld.flags.writeable = False
+        return ld
+
+
+_INT = frozenset({int})
+
+
+def _map_arrays(phi, r, declared=None) -> tuple[np.ndarray, np.ndarray]:
+    """(shift, pairs) of nested rows phi[lam][u] and r[lam][u][v], checked.
+    Whole-field passes accept a valid map; whatever they refuse goes on to
+    the entry-by-entry reading, which names the problem."""
+    phi, r = (x.tolist() if isinstance(x, np.ndarray) else x for x in (phi, r))
+    try:
+        arrays = _whole_field_arrays(phi, r)
+    except (TypeError, LookupError, OverflowError):
+        arrays = None
+    if arrays is None:
+        _reject(phi, r, declared)
+    if declared is not None:
+        declared(*arrays[0].shape)
+    return arrays
+
+
+def _whole_field_arrays(phi, r) -> tuple[np.ndarray, np.ndarray] | None:
+    """The arrays of a valid map in a few C-level passes over each field
+    (lengths per level, the type of every entry, then min and max), or None."""
+    chain_ = chain.from_iterable
+    h, n = len(phi), len(phi[0])
+    rows = list(chain_(r))
+    pairs = list(chain_(rows))
+    values, shifts = list(chain_(pairs)), list(chain_(phi))
+    if not (h and n and len(r) == h and set(map(len, pairs)) == {2}
+            and {n} == set(map(len, r)) == set(map(len, rows)) == set(map(len, phi))
+            and _INT.issuperset(map(type, values)) and _INT.issuperset(map(type, shifts))):
+        return None
+    out = np.fromiter(values, np.int32, len(values))
+    shift = np.fromiter(shifts, np.int32, len(shifts))
+    if out.min() < 0 or out.max() >= n or shift.min() < 0 or shift.max() >= h:
+        return None
+    return shift.reshape(h, n), np.ascontiguousarray(out.reshape(h, n, n, 2).transpose(3, 0, 1, 2))
+
+
+def _reject(phi, r, declared) -> NoReturn:
+    """Read phi and r entry by entry, and raise ValueError for the first
+    problem in this order: no weight or element, the orders (`declared`),
+    the shape of r, each pair's types and range, then each row of phi's
+    length, types and range.  A row that is not a list, or an entry of r
+    that is not a pair, is named by its position instead."""
+    try:
+        phi_rows = tuple(map(tuple, phi))
+        r_rows = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in r)
+        if not phi_rows or not phi_rows[0]:
+            raise ValueError("a dynamical map needs at least one weight and one element")
+        h, n = len(phi_rows), len(phi_rows[0])
+        if declared is not None:
+            declared(h, n)
+        if len(r_rows) != h or any(
+            len(lam_rows) != n or any(len(row) != n for row in lam_rows) for lam_rows in r_rows
+        ):
+            raise ValueError("map table shape disagrees with declared orders")
+        for lam_rows in r_rows:
+            for row in lam_rows:
+                for a, b in row:
+                    if type(a) is not int or type(b) is not int:
+                        raise ValueError(f"expected integers, got the pair {[a, b]!r}")
+                    if not (0 <= a < n and 0 <= b < n):
+                        raise ValueError("map output out of range")
+        for row in phi_rows:
+            if len(row) != n:
+                raise ValueError("weight-shift row length disagrees")
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"expected an integer, got {x!r}")
+                if not 0 <= x < h:
+                    raise ValueError("weight shift out of range")
+    except (TypeError, ValueError):
+        require_shape(phi, 2, "integers", "phi")
+        require_shape(r, 3, "pairs", "r")
+        raise
+    raise RuntimeError("the whole-field passes refused a map whose entries are all valid")
+
+
+def _int32(table) -> np.ndarray:
+    """A table of tuples, or a tuple, as an int32 array."""
+    return np.array(table, dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -194,39 +323,27 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
         for cond in ("M1", "M2"):
             check_ternary_condition(t.M, cond).require(M1M2Violation)
     n = t.L.order
-    mul = t.L.rows
-    ld = t.L.ldiv
-    p = t.pi.map
-    q = t.pi.inverse
-    mt = t.M.table
-    r = []
-    for lam in range(n):
-        plam_n = p[lam] * n
-        lam_rows = []
-        for u in range(n):
-            lu = mul[lam][u]
-            base = (plam_n + p[lu]) * n
-            row = []
-            for v in range(n):
-                luv = mul[lu][v]
-                xi = ld[lam][q[mt[base + p[luv]]]]
-                eta = ld[mul[lam][xi]][luv]
-                row.append((eta, xi))
-            lam_rows.append(tuple(row))
-        r.append(tuple(lam_rows))
-    return DynamicalMap(phi=mul, r=tuple(r))
+    mul, ld, p, q = map(_int32, (t.L.rows, t.L.ldiv, t.pi.map, t.pi.inverse))
+    lam, _, v = _axes((n, n, n))
+    lam_n, lu = lam * n, mul[:, :, None]
+    luv = mul.take(lu * n + v)
+    pairs = np.empty((2, n, n, n), dtype=np.int32)
+    mu = t.M.flat.array.take((p[:, None, None] * n + p.take(lu)) * n + p.take(luv))
+    xi = ld.take(lam_n + q.take(mu), out=pairs[1])
+    ld.take(mul.take(lam_n + xi) * n + luv, out=pairs[0])
+    return DynamicalMap._of(mul, pairs)
 
 
 def eval_xi(R: DynamicalMap, lam: int, u: int, v: int) -> int:
     """Second output slot of R(lam)(u, v)."""
     _check_indices(R, lam, u, v)
-    return R.r[lam][u][v][1]
+    return int(R.pairs[1, lam, u, v])
 
 
 def eval_eta(R: DynamicalMap, lam: int, v: int, u: int) -> int:
     """First output slot of R(lam)(u, v); note the (v, u) argument order."""
     _check_indices(R, lam, u, v)
-    return R.r[lam][u][v][0]
+    return int(R.pairs[0, lam, u, v])
 
 
 def _check_indices(R: DynamicalMap, lam: int, u: int, v: int) -> None:
@@ -241,7 +358,7 @@ def verify_qdybe(R: DynamicalMap) -> CheckResult:
     argument carries a slot superscript reads that slot of the tuple it is
     applied to.  Both sides are evaluated right to left.
     """
-    return check(_QDYBE, **R.tables)
+    return check(_QDYBE, **R._tables)
 
 
 def verify_braiding(R: DynamicalMap) -> CheckResult:
@@ -249,18 +366,18 @@ def verify_braiding(R: DynamicalMap) -> CheckResult:
 
     Agreement with verify_qdybe on every input is itself a tested property.
     """
-    return check(_BRAIDING, **R.tables)
+    return check(_BRAIDING, **R._tables)
 
 
 def verify_invariance(R: DynamicalMap) -> CheckResult:
     """Check (lam*xi)*eta = (lam*u)*v with * read off the weight shift, which
     must be a left-quasigroup multiplication (ShapeMismatch otherwise)."""
-    return check(_INVARIANCE, **R.tables, ld=R.weight_ldiv)
+    return check(_INVARIANCE, **R._tables, ld=R.weight_ldiv)
 
 
 def verify_unitary(R: DynamicalMap) -> CheckResult:
     """Check R(lam) swap R(lam) = swap for every weight."""
-    return check(_UNITARY, **R.tables)
+    return check(_UNITARY, **R._tables)
 
 
 def extract_mu_L(R: DynamicalMap) -> TernaryTable:
@@ -273,15 +390,11 @@ def extract_mu_L(R: DynamicalMap) -> TernaryTable:
     if not inv:
         raise InvarianceViolated(f"invariance fails at {inv.witness}")
     n = R.set_order
-    r = R.r
-    mul, ld = R.phi, R.weight_ldiv
-
-    def fn(a, b, c):
-        u = ld[a * n + b]
-        v = ld[b * n + c]
-        return mul[a][r[a][u][v][1]]
-
-    return TernaryTable.from_function(n, fn)
+    ld = R.weight_ldiv.reshape(n, n)
+    a = _axes((n, n, n))[0]
+    # mu(a, b, c) = a * xi(a, a\\b, b\\c)
+    xi = R.pairs[1].take((a * n + ld[:, :, None]) * n + ld)
+    return TernaryTable(n, tuple(R.shift.take(a * n + xi).ravel().tolist()))
 
 
 def check_D_class(R: DynamicalMap, cls: str) -> CheckResult:
@@ -293,7 +406,7 @@ def check_D_class(R: DynamicalMap, cls: str) -> CheckResult:
     """
     if cls not in D_CLASSES:
         raise ValueError(f"unknown class {cls!r}")
-    env = R.tables | {"ld": R.weight_ldiv}
+    env = R._tables | {"ld": R.weight_ldiv}
     composition, normalisation = _D_LAWS[cls]
     return check(composition, "composition", **env) and check(normalisation, "normalisation", **env)
 
@@ -353,7 +466,7 @@ def is_D_morphism(f, V, V2) -> bool:
         return False
     return bool(
         check(_HOMOMORPHISM, n=L.order, m=L2.order, f=fm, mul=flatten(L.rows), mul2=flatten(L2.rows))
-        and check(_INTERTWINES, **R.tables, m=R2.set_order, f=fm, r2=R2.tables["r"])
+        and check(_INTERTWINES, **R._tables, m=R2.set_order, f=fm, r2=R2.pairs.reshape(2, -1))
     )
 
 
@@ -368,7 +481,7 @@ def conjugation_selfcheck(t: Triple) -> bool:
     implementation bug.
     """
     R = build_dyb(t, checked=False)
-    env = R.tables | {"mul": flatten(t.L.rows), "ld": flatten(t.L.ldiv), "mu": t.M.flat,
+    env = R._tables | {"mul": flatten(t.L.rows), "ld": flatten(t.L.ldiv), "mu": t.M.flat,
                       "p": t.pi.map, "q": t.pi.inverse}
     return bool(check(_PAIR_FACTORISATION, **env) and check(_TRIPLE_FACTORISATION, **env))
 
@@ -402,40 +515,16 @@ def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:
             f"pi({flags_lp.identity}) = {pi.map[flags_lp.identity]} != {e_g}"
         )
     n = LP.order
-    lmul = LP.rows
-    ld = LP.ldiv
-    gmul = G.rows
-    gld = G.ldiv
-    p = pi.map
-    q = pi.inverse
-    ginv = tuple(gld[g][e_g] for g in range(n))
-
-    theta = []
-    theta_inv = []
-    for u in range(n):
-        row = tuple(gmul[ginv[p[u]]][p[lmul[u][q[x]]]] for x in range(n))
-        back = [-1] * n
-        for x, y in enumerate(row):
-            back[y] = x
-        assert -1 not in back, "translation defect is not bijective"
-        theta.append(row)
-        theta_inv.append(tuple(back))
-
-    r = []
-    for lam in range(n):
-        ti = theta_inv[lam]
-        lam_rows = []
-        for u in range(n):
-            th = theta[lmul[lam][u]]
-            lu = lmul[lam][u]
-            row = []
-            for v in range(n):
-                xi = q[ti[th[p[v]]]]
-                eta = ld[lmul[lam][xi]][lmul[lu][v]]
-                row.append((eta, xi))
-            lam_rows.append(tuple(row))
-        r.append(tuple(lam_rows))
-    return DynamicalMap(phi=lmul, r=tuple(r))
+    lmul, ld, gmul, gld, p, q = map(_int32, (LP.rows, LP.ldiv, G.rows, G.ldiv, pi.map, pi.inverse))
+    lam, u, v = np.ogrid[:n, :n, :n]
+    # theta[u, x] = pi(u)^-1 * pi(u * pi^-1(x)), row by row a bijection of G
+    theta = gmul[gld[p, e_g][:, None], p[lmul[:, q]]]
+    theta_inv = np.argsort(theta, axis=1).astype(np.int32)
+    assert (np.sort(theta, axis=1) == np.arange(n)).all(), "translation defect is not bijective"
+    lu = lmul[lam, u]
+    xi = q[theta_inv[lam, theta[lu, p[v]]]]
+    eta = ld[lmul[lam, xi], lmul[lu, v]]
+    return DynamicalMap._of(lmul, np.stack((eta, xi)))
 
 
 def _as_left_quasigroup(x) -> LeftQuasigroup:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup
 from .engine import DynamicalMap
+from .kernel import require_shape
 from .ternary import TernaryTable
 
 
@@ -36,11 +37,8 @@ def to_jsonable(obj) -> dict:
             "kind": "dynmap",
             "weight_order": obj.weight_order,
             "set_order": obj.set_order,
-            "phi": [list(row) for row in obj.phi],
-            "r": [
-                [[list(pair) for pair in row] for row in lam_rows]
-                for lam_rows in obj.r
-            ],
+            "phi": obj.shift.tolist(),
+            "r": obj.pairs.transpose(1, 2, 3, 0).tolist(),
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -66,12 +64,12 @@ def _ints(values) -> tuple:
 
 
 #: The nested lists of each kind: field, how many lists deep, and what the
-#: innermost lists hold.
+#: innermost lists hold.  A map's constructor names its own.
 _SHAPES = {
     "binary": (("table", 2, "integers"),),
     "bijection": (("map", 1, "integers"),),
     "ternary": (("table", 1, "integers"),),
-    "dynmap": (("phi", 2, "integers"), ("r", 3, "pairs")),
+    "dynmap": (),
 }
 
 
@@ -92,7 +90,7 @@ def from_jsonable(doc: dict):
     except (TypeError, ValueError):
         for name, depth, inner in _SHAPES[kind]:
             if name in doc:
-                _require_shape(doc[name], depth, inner, name)
+                require_shape(doc[name], depth, inner, name)
         raise
 
 
@@ -113,47 +111,11 @@ def _read(kind: str, doc: dict):
 
 
 def _dynmap(doc: dict) -> DynamicalMap:
-    phi = tuple(map(tuple, doc["phi"]))
-    r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
-    R = DynamicalMap(phi=phi, r=r)
-    # The orders are locals: the loops below would otherwise call the
-    # properties twice per pair.  One loop that tests type and range per pair
-    # beats whole-field passes (map(type), min, max) over the n^3 pairs by
-    # about 2x, since those must first flatten the pairs into a new tuple.
-    h, n = R.weight_order, R.set_order
-    if h != _int(doc["weight_order"]) or n != _int(doc["set_order"]):
-        raise ValueError("declared orders disagree with table shapes")
-    if len(r) != h or any(
-        len(lam_rows) != n or any(len(row) != n for row in lam_rows) for lam_rows in r
-    ):
-        raise ValueError("map table shape disagrees with declared orders")
-    for lam_rows in r:
-        for row in lam_rows:
-            for a, b in row:
-                if type(a) is not int or type(b) is not int:
-                    raise ValueError(f"expected integers, got the pair {[a, b]!r}")
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError("map output out of range")
-    for row in phi:
-        if len(row) != n:
-            raise ValueError("weight-shift row length disagrees")
-        for x in row:
-            if not 0 <= _int(x) < h:
-                raise ValueError("weight shift out of range")
-    return R
+    def declared(h: int, n: int) -> None:
+        if h != _int(doc["weight_order"]) or n != _int(doc["set_order"]):
+            raise ValueError("declared orders disagree with table shapes")
 
-
-def _require_shape(value, depth: int, inner: str, name: str) -> None:
-    """ValueError naming the first part of `value`, which should be `depth`
-    lists deep around `inner` ("integers" or "pairs"), that is not a list,
-    or an entry that should be a pair and is not."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list of {inner if depth == 1 else 'lists'}, got {value!r}")
-    for i, item in enumerate(value):
-        if depth > 1:
-            _require_shape(item, depth - 1, inner, f"{name}[{i}]")
-        elif inner == "pairs" and not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise ValueError(f"{name}[{i}] must be a pair of integers, got {item!r}")
+    return DynamicalMap._read(doc["phi"], doc["r"], declared)
 
 
 def encode(doc) -> str:

@@ -1,11 +1,21 @@
 import json
+import re
 
 import pytest
 from conftest import TABLE1, s3, shift
 
-from dybmaps import Bijection, TernaryTable, Triple, build_dyb, make_mu_g, search_structures
+from dybmaps import (
+    Bijection,
+    DynamicalMap,
+    TernaryTable,
+    Triple,
+    build_dyb,
+    extract_mu_L,
+    make_mu_g,
+    search_structures,
+)
 from dybmaps import serialize
-from dybmaps.cli import build_parser, main
+from dybmaps.cli import VERIFY_CHECKS, build_parser, main
 
 
 @pytest.fixture
@@ -111,6 +121,65 @@ def test_non_list_row_is_named(capsys, tmp_path, command, doc, message):
     argv = [command, str(p)] if command != "verify" else [command, "--check", "qdybe", str(p)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _order2_rows():
+    """phi and r of a valid map of order 2, as nested lists."""
+    R = build_dyb(Triple(shift(2), make_mu_g(shift(2), 3), Bijection.identity(2)))
+    return [list(row) for row in R.phi], [[[list(pair) for pair in row] for row in rows] for rows in R.r]
+
+
+def _set_entry(rows, path, value):
+    for key in path[:-1]:
+        rows = rows[key]
+    rows[path[-1]] = value
+
+
+#: Malformed maps of order 2, each one change away from a valid one, and the
+#: message both the constructor and the JSON reader give.
+MALFORMED_MAPS = {
+    "ragged": ("r", (0, 1), [[0, 1]], "map table shape disagrees with declared orders"),
+    "five": ("r", (1, 0, 1), [0, 5], "map output out of range"),
+    "minus-one": ("r", (0, 0, 0), [-1, 0], "map output out of range"),
+    "shift": ("phi", (1, 0), 2, "weight shift out of range"),
+    "bool": ("r", (1, 1, 1), [True, 0], "expected integers, got the pair [True, 0]"),
+    "triple": ("r", (0, 1, 0), [0, 1, 1], "r[0][1][0] must be a pair of integers, got [0, 1, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MAPS)
+def test_malformed_map_is_refused_by_the_constructor_and_verify(capsys, tmp_path, case):
+    field, path, value, message = MALFORMED_MAPS[case]
+    phi, r = _order2_rows()
+    _set_entry(phi if field == "phi" else r, path, value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DynamicalMap(phi=phi, r=r)
+    p = tmp_path / "bad-map.json"
+    p.write_text(json.dumps({"kind": "dynmap", "weight_order": 2, "set_order": 2, "phi": phi, "r": r}))
+    for check in VERIFY_CHECKS:
+        assert run(capsys, "verify", "--check", check, str(p)) == (2, "", f"error: {message}\n")
+
+
+def test_check_paths_build_no_tuple_view(capsys, files, tmp_path, monkeypatch):
+    def no_view(self):
+        raise AssertionError("a nested-tuple view of a map was built")
+
+    for name in ("r", "phi"):
+        monkeypatch.setattr(DynamicalMap, name, property(no_view))
+    for L, M, pi in (("t1", "mu1", "id3"), ("s3", "mu1s3", "id6")):
+        out_file = tmp_path / f"R-{L}.json"
+        code, _, _ = run(capsys, "build", "--L", files[L], "--M", files[M], "--pi", files[pi],
+                         "-o", str(out_file))
+        assert code == 0
+        for check in VERIFY_CHECKS:
+            assert run(capsys, "verify", "--check", check, str(out_file))[0] in (0, 1)
+        assert run(capsys, "extract", str(out_file))[0] == 0
+        monkeypatch.undo()
+        R = serialize.load(out_file)
+        extract_mu_L(R)
+        assert not {"r", "phi"} & set(vars(R))
+        for name in ("r", "phi"):
+            monkeypatch.setattr(DynamicalMap, name, property(no_view))
 
 
 def test_verify_failure_reports_counterexample(capsys, files, tmp_path):

@@ -102,6 +102,7 @@ def test_eval_components():
     assert eval_eta(Rq, 0, 2, 1) == 2
     for lam, u, v in product(range(3), repeat=3):
         assert (eval_eta(Rq, lam, v, u), eval_xi(Rq, lam, u, v)) == Rq.r[lam][u][v]
+        assert Rq.sigma(lam, u, v) == Rq.r[lam][u][v][::-1]
     with pytest.raises(IndexOutOfRange):
         eval_xi(Rq, 3, 0, 0)
 

@@ -150,34 +150,54 @@ def test_only_json_integers_accepted(kind, path, bad):
 
 def reference_dynmap(doc: dict) -> DynamicalMap:
     """The dynmap reader as a loop over every entry, each check reading the
-    orders from the map: the reference for the messages of the reader."""
-    phi = tuple(map(tuple, doc["phi"]))
-    r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
-    R = DynamicalMap(phi=phi, r=r)
-    if R.weight_order != serialize._int(doc["weight_order"]) or R.set_order != serialize._int(
-        doc["set_order"]
-    ):
-        raise ValueError("declared orders disagree with table shapes")
-    if len(r) != R.weight_order or any(
-        len(lam_rows) != R.set_order
-        or any(len(row) != R.set_order for row in lam_rows)
-        for lam_rows in r
-    ):
-        raise ValueError("map table shape disagrees with declared orders")
-    for lam_rows in r:
-        for row in lam_rows:
-            for a, b in row:
-                if type(a) is not int or type(b) is not int:
-                    raise ValueError(f"expected integers, got the pair {[a, b]!r}")
-                if not (0 <= a < R.set_order and 0 <= b < R.set_order):
-                    raise ValueError("map output out of range")
-    for row in phi:
-        if len(row) != R.set_order:
-            raise ValueError("weight-shift row length disagrees")
-        for x in row:
-            if not 0 <= serialize._int(x) < R.weight_order:
-                raise ValueError("weight shift out of range")
-    return R
+    orders from the rows: the reference for the messages of the reader.  Once
+    reading has failed, a row that is not a list, or an entry of r that is
+    not a pair, is named by its position instead."""
+    try:
+        phi = tuple(map(tuple, doc["phi"]))
+        r = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in doc["r"])
+        if not phi or not phi[0]:
+            raise ValueError("a dynamical map needs at least one weight and one element")
+        if len(phi) != serialize._int(doc["weight_order"]) or len(phi[0]) != serialize._int(
+            doc["set_order"]
+        ):
+            raise ValueError("declared orders disagree with table shapes")
+        if len(r) != len(phi) or any(
+            len(lam_rows) != len(phi[0])
+            or any(len(row) != len(phi[0]) for row in lam_rows)
+            for lam_rows in r
+        ):
+            raise ValueError("map table shape disagrees with declared orders")
+        for lam_rows in r:
+            for row in lam_rows:
+                for a, b in row:
+                    if type(a) is not int or type(b) is not int:
+                        raise ValueError(f"expected integers, got the pair {[a, b]!r}")
+                    if not (0 <= a < len(phi[0]) and 0 <= b < len(phi[0])):
+                        raise ValueError("map output out of range")
+        for row in phi:
+            if len(row) != len(phi[0]):
+                raise ValueError("weight-shift row length disagrees")
+            for x in row:
+                if not 0 <= serialize._int(x) < len(phi):
+                    raise ValueError("weight shift out of range")
+    except (TypeError, ValueError):
+        reference_shape(doc["phi"], 2, "integers", "phi")
+        reference_shape(doc["r"], 3, "pairs", "r")
+        raise
+    return DynamicalMap(phi=phi, r=r)
+
+
+def reference_shape(value, depth, inner, name):
+    """ValueError naming the first part of `value`, `depth` lists deep around
+    `inner`, that is not a list, or an entry that should be a pair and is not."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of {inner if depth == 1 else 'lists'}, got {value!r}")
+    for i, item in enumerate(value):
+        if depth > 1:
+            reference_shape(item, depth - 1, inner, f"{name}[{i}]")
+        elif inner == "pairs" and not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ValueError(f"{name}[{i}] must be a pair of integers, got {item!r}")
 
 
 def rejection(doc):
@@ -221,6 +241,7 @@ def _corruptions(n: int):
         for bad in (n, -1, 1.0, True, "0"):
             yield ("phi", *where), bad
     yield ("phi", n - 1), list(range(n - 1))
+    yield ("phi", 0), list(range(n + 1))
 
 
 @pytest.mark.parametrize("path, bad", list(_corruptions(5)), ids=repr)
