@@ -44,7 +44,10 @@ VERIFY_CHECKS = ("qdybe", "braid", "invariance", "unitary", "d1", "d2", "d3")
 
 def _emit(doc, out: str | Path | None = None) -> None:
     """Write `doc` to the file `out`, or to stdout, as serialize.encode does."""
-    text = serialize.encode(doc)
+    _write(serialize.encode(doc), out)
+
+
+def _write(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -97,7 +100,7 @@ def _cmd_build(args) -> int:
         _load_as(args.pi, Bijection, "bijection"),
     )
     R = build_dyb(triple, checked=not args.unchecked)
-    _emit(serialize.to_jsonable(R), args.output)
+    _write(serialize.dumps(R), args.output)
     return 0
 
 

@@ -7,11 +7,12 @@ For each order it takes Z/n with its variant-1 ternary table and the
 identity bijection through `make_mu_g`, the `M1` and `M2` checks that
 `build_dyb` makes, the build itself, the seven map checks, `extract_mu_L`
 and a JSON round trip, and prints the seconds of each stage and the peak
-resident memory (`ru_maxrss`).  The peak is the process's so far, so give
-one order per run to read each order's own.  Every check holds on these
-maps, so each scans its whole grid.  It uses the public API only, so it
-runs unchanged against any checkout; it reports and gates nothing.  The
-file name keeps pytest from collecting it.
+resident memory (`ru_maxrss`) after it, so the stage that sets the peak
+shows.  The peak is the process's so far, so give one order per run to
+read each order's own.  Every check holds on these maps, so each scans its
+whole grid.  It uses the public API only, so it runs unchanged against any
+checkout; it reports and gates nothing.  The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
@@ -38,14 +39,19 @@ from dybmaps import (
 )
 
 
-def pipeline(n: int) -> list[tuple[str, float]]:
-    """(stage, seconds) for Z/n; raises if a check fails or the round trip differs."""
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def pipeline(n: int) -> list[tuple[str, float, float]]:
+    """(stage, seconds, peak RSS in MB after it) for Z/n; raises if a check
+    fails or the round trip differs."""
     times = []
 
     def stage(name, fn):
         t0 = time.perf_counter()
         out = fn()
-        times.append((name, time.perf_counter() - t0))
+        times.append((name, time.perf_counter() - t0, peak_mb()))
         return out
 
     G = validate_left_quasigroup(BinaryTable.from_rows([[(u + v) % n for v in range(n)] for u in range(n)]))
@@ -66,10 +72,9 @@ def pipeline(n: int) -> list[tuple[str, float]]:
 def main(argv: list[str]) -> None:
     for n in map(int, argv or ["64"]):
         times = pipeline(n)
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"Z/{n}: total {sum(t for _, t in times):.2f} s, peak RSS {peak_mb:.0f} MB")
-        for name, t in times:
-            print(f"  {name:14s} {t:8.3f} s")
+        print(f"Z/{n}: total {sum(t for _, t, _ in times):.2f} s, peak RSS {peak_mb():.0f} MB")
+        for name, t, peak in times:
+            print(f"  {name:14s} {t:8.3f} s  {peak:5.0f} MB")
 
 
 if __name__ == "__main__":

@@ -394,3 +394,48 @@ def test_validate_non_integer_entry_exits_2(capsys, tmp_path, entry):
     path.write_text(json.dumps({"kind": "binary", "order": 2, "table": [[0, 1], [entry, 0]]}))
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("reader", ["validate", "verify", "build --L", "build --M", "build --pi"])
+def test_deeply_nested_document_exits_2(capsys, files, tmp_path, reader):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000)
+    if reader == "validate":
+        argv = ["validate", str(bad)]
+    elif reader == "verify":
+        argv = ["verify", "--check", "qdybe", str(bad)]
+    else:
+        triple = {"--L": files["t1"], "--M": files["mu1"], "--pi": files["id3"]}
+        triple[reader.split()[1]] = str(bad)
+        argv = ["build", *(x for item in triple.items() for x in item)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: document nested too deeply") and err.count("\n") == 1
+
+
+def _respaced_copies(path, tmp_path):
+    """The document at `path` indented, and with its keys in reverse order."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    indented, reordered = tmp_path / "indented.json", tmp_path / "reordered.json"
+    indented.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    reordered.write_text(json.dumps(dict(reversed(doc.items()))), encoding="utf-8")
+    return indented, reordered
+
+
+@pytest.mark.parametrize("L, M, pi", [("t1", "mu1", "id3"), ("s3", "mu1s3", "id6")])
+def test_verify_and_extract_read_other_spellings_of_a_map_alike(capsys, files, tmp_path, L, M, pi):
+    line = tmp_path / "R.json"
+    assert run(capsys, "build", "--L", files[L], "--M", files[M], "--pi", files[pi],
+               "-o", str(line))[0] == 0
+    copies = _respaced_copies(line, tmp_path)
+    for path in copies:
+        assert path.read_bytes() != line.read_bytes()
+    for check in VERIFY_CHECKS:
+        expected = run(capsys, "verify", "--check", check, str(line))
+        for path in copies:
+            assert run(capsys, "verify", "--check", check, str(path)) == expected, (check, path)
+    expected = run(capsys, "extract", str(line), "-o", str(tmp_path / "E.json"))
+    for path in copies:
+        out = tmp_path / f"E-{path.stem}.json"
+        assert run(capsys, "extract", str(path), "-o", str(out)) == expected
+        assert out.read_bytes() == (tmp_path / "E.json").read_bytes()

@@ -1,18 +1,21 @@
 """Property tests of the JSON boundary with hypothesis: round trips, one-entry
-corruptions against the per-entry reference reader, the CLI's exit-2
-contract for malformed documents, and the table constructors' whole-table
-range checks against their entry loops.  Example counts are bounded and the
-examples derandomized, so that the suite stays fast and repeatable."""
+corruptions against the per-entry reference reader, the map codec against
+`json`, the CLI's exit-2 contract for malformed documents, and the table
+constructors' whole-table range checks against their entry loops.  Example
+counts are bounded and the examples derandomized, so that the suite stays
+fast and repeatable."""
 
 import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from test_serialize import KINDS, _set, reference_rejection, rejection
 
-from dybmaps import BinaryTable, TernaryTable, serialize
+from dybmaps import BinaryTable, DynamicalMap, TernaryTable, serialize
 from dybmaps.cli import main
+from dybmaps.errors import AlgebraError
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -78,6 +81,60 @@ def test_fuzz_one_entry_corruption_matches_the_reference(data):
     path = data.draw(st.sampled_from(list(_paths(doc))))
     _set(doc, path, data.draw(ANY_VALUE))
     assert rejection(doc) == reference_rejection(doc)
+
+
+# --- The map codec against json.dumps and json.loads ---------------------------
+
+@st.composite
+def maps(draw, max_weights=3, max_elements=120):
+    """A map of random weight and set orders, filled from a drawn seed."""
+    h, n = draw(st.integers(1, max_weights)), draw(st.integers(1, max_elements))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DynamicalMap(rng.integers(0, h, (h, n)), rng.integers(0, n, (h, n, n, 2)))
+
+
+@FUZZ
+@given(maps())
+def test_fuzz_map_writer_matches_json_dumps(R):
+    text = serialize.dumps(R)
+    assert text == serialize.encode(serialize.to_jsonable(R))
+    assert serialize.loads(text) == R
+    assert serialize.loads(text.rstrip("\n")) == R
+
+
+def reading(read, text):
+    """What `read(text)` gives: ("map", object) or the exception's type and message."""
+    try:
+        return "map", read(text)
+    except (AlgebraError, TypeError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def edits(text: str):
+    """Every deletion of one character, every substitution and insertion of
+    one from a small alphabet, and every move of one digit elsewhere."""
+    alphabet = '059[]{},:" \n.-x\u00e9'
+    for i in range(len(text) + 1):
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+            yield from (text[:i] + c + text[i + 1:] for c in alphabet if c != text[i])
+        yield from (text[:i] + c + text[i:] for c in alphabet)
+    for i, c in enumerate(text):
+        if c.isdigit():
+            rest = text[:i] + text[i + 1:]
+            yield from (rest[:j] + c + rest[j:] for j in range(len(rest) + 1) if j != i)
+
+
+@settings(FUZZ, max_examples=6)
+@given(maps(max_weights=2, max_elements=2))
+def test_fuzz_edited_map_lines_read_as_json_reads_them(R):
+    """The fast read accepts exactly the writer's lines: any edit gives the
+    map or the error of json.loads and from_jsonable."""
+    def reference(text):
+        return serialize.from_jsonable(json.loads(text))
+
+    for text in edits(serialize.dumps(R)):
+        assert reading(serialize.loads, text) == reading(reference, text), repr(text)
 
 
 #: Values that no field of a document of order at most 4 accepts.

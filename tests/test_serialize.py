@@ -271,3 +271,43 @@ def test_dump_writes_one_compact_line_that_loads_back(tmp_path, kind):
     assert text.count("\n") == 1 and " " not in text
     assert json.loads(text)["kind"] == kind
     assert serialize.load(path) == obj
+
+
+def _map_line_variants():
+    """(name, bytes) of files of one map: its line, then the line re-encoded,
+    re-spaced or broken."""
+    line = serialize.dumps(KINDS["dynmap"])
+    yield "line", line.encode()
+    yield "no-newline", line.rstrip("\n").encode()
+    yield "crlf", line.replace("\n", "\r\n").encode()
+    yield "bom", b"\xef\xbb\xbf" + line.encode()
+    yield "utf-16", line.encode("utf-16")
+    yield "crlf-then-error", line.replace("{", "{\r\n\r", 1).replace('"r":', '"r" ').encode()
+    yield "latin-1", line.replace('"kind"', '"k\xefnd"').encode("latin-1")
+    yield "indented", json.dumps(json.loads(line), indent=1).encode()
+
+
+MAP_FILES = dict(_map_line_variants())
+
+
+@pytest.mark.parametrize("name", MAP_FILES)
+def test_load_reads_files_as_read_text_and_json_loads_do(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(MAP_FILES[name])
+
+    def outcome(read):
+        try:
+            return "map", read()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    expected = outcome(lambda: serialize.from_jsonable(json.loads(path.read_text(encoding="utf-8"))))
+    assert outcome(lambda: serialize.load(path)) == expected
+    if name in ("line", "no-newline", "indented"):
+        assert expected == ("map", KINDS["dynmap"])
+
+
+def test_deeply_nested_document_is_a_value_error():
+    for text in ("[" * 100000, '{"kind":' * 100000):
+        with pytest.raises(ValueError, match="^document nested too deeply: "):
+            serialize.loads(text)
