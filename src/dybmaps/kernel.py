@@ -79,13 +79,32 @@ def require_shape(value, depth: int, inner: str, name: str) -> None:
 
 
 class _FlatLookups(ast.NodeTransformer):
-    """Rewrite `T(x1, ..., xk)` as `T[(x1*n + x2)*n + ... + xk]`."""
+    """Rewrite `T(x1, ..., xk)` as `T[(x1*n + x2)*n + ... + xk]`.  An
+    argument that reads a name in `data` is taken out of that sum as a term
+    `xj * n**(k - j)` of its own, and such terms come first, in argument
+    order: with `data` = {"x"}, `T(x, c, d)` becomes
+    `T[x * n ** 2 + (c * n + d)]`, so `c * n + d` can be hoisted whole."""
+
+    def __init__(self, data: frozenset[str] = frozenset()):
+        self.data = data
 
     def visit_Call(self, node: ast.Call) -> ast.Subscript:
         self.generic_visit(node)
-        index = node.args[0]
-        for arg in node.args[1:]:
-            index = ast.BinOp(ast.BinOp(index, ast.Mult(), ast.Name("n")), ast.Add(), arg)
+        n, k = ast.Name("n"), len(node.args)
+        terms, rest = [], None
+        for j, arg in enumerate(node.args, 1):
+            if rest is not None:
+                rest = ast.BinOp(rest, ast.Mult(), n)
+            if not _names(arg) & self.data:
+                rest = arg if rest is None else ast.BinOp(rest, ast.Add(), arg)
+            elif j < k:
+                weight = n if j == k - 1 else ast.BinOp(n, ast.Pow(), ast.Constant(k - j))
+                terms.append(ast.BinOp(arg, ast.Mult(), weight))
+            else:
+                terms.append(arg)
+        index, *more = terms if rest is None else [*terms, rest]
+        for term in more:
+            index = ast.BinOp(index, ast.Add(), term)
         return ast.Subscript(node.func, index)
 
 
@@ -162,8 +181,11 @@ class _HoistLookups(ast.NodeTransformer):
         self.generic_visit(node)
         t = f"_t{self.temps}"
         self.temps += 1
-        self.lines += [f"_i = {ast.unparse(node.slice)}; {t} = {ast.unparse(node.value)}[_i]",
-                       f"if {t} < 0: return _i"]
+        i = ast.unparse(node.slice)
+        if not isinstance(node.slice, ast.Name):
+            self.lines.append(f"_i = {i}")
+            i = "_i"
+        self.lines += [f"{t} = {ast.unparse(node.value)}[{i}]", f"if {t} < 0: return {i}"]
         return ast.Name(t)
 
 
@@ -236,21 +258,43 @@ class Identity:
 
     @cached_property
     def _probe(self):
-        """probe(env): the function of the variables that decides one
-        instance on the tables of `env`, read as they are at each call."""
-        *steps, equation = _FlatLookups().visit(ast.parse(textwrap.dedent(self.body))).body
-        hoist = _HoistLookups()
+        """probe(env): the function of the variables that makes the probe of
+        one instance on the tables of `env`, read as they are at each call.
+
+        Level 0 reads `env`, level 1 makes an instance and level 2 is its
+        probe.  The tables, and what is computed from them, are read at
+        level 2; every partial index that reads only sizes is computed at
+        level 0, and every one that reads only the point and sizes at
+        level 1 (`_hoist`), so a lookup whose arguments are all variables
+        reads a constant index."""
+        tree = ast.parse(textwrap.dedent(self.body))
+        for s in tree.body[:-1]:
+            if isinstance(s.targets[0], ast.Tuple):
+                raise ValueError(f"cannot probe `{ast.unparse(s)}` in {self.body.strip()!r}: "
+                                 "probes read tables of single values, not pairs")
+        params = self._compiled[0]
+        tables = {x.func.id for x in ast.walk(tree) if isinstance(x, ast.Call)}
+        tables |= {x.value.id for x in ast.walk(tree) if isinstance(x, ast.Subscript)}
+        level = dict.fromkeys(_names(tree), 2)
+        level.update({p: 0 for p in params if p not in tables})
+        level.update(dict.fromkeys(self.variables, 1))
+        *steps, equation = _FlatLookups(frozenset(x for x in level if level[x] == 2)).visit(tree).body
+        placed, temps, hoist = [[], []], {}, _HoistLookups()
         for s in steps:
-            value = ast.unparse(hoist.visit(s.value))
-            hoist.lines.append(f"{ast.unparse(s.targets[0])} = {value}")
-        test = ast.unparse(hoist.visit(equation.value))
+            value = hoist.visit(_hoist(s.value, 2, level, placed, temps))
+            hoist.lines.append(f"{ast.unparse(s.targets[0])} = {ast.unparse(value)}")
+        test = ast.unparse(hoist.visit(_hoist(equation.value, 2, level, placed, temps)))
         lines = [
             "def probe(_env):",
-            *(f"    {p} = _env[{p!r}]" for p in self._compiled[0]),
-            f"    def at({', '.join(self.variables)}):",
-            *("        " + line for line in hoist.lines),
-            f"        return {HOLDS} if {test} else {FAILS}",
-            "    return at",
+            *(f"    {p} = _env[{p!r}]" for p in params),
+            *("    " + line for line in placed[0]),
+            f"    def instance({', '.join(self.variables)}):",
+            *("        " + line for line in placed[1]),
+            "        def at():",
+            *("            " + line for line in hoist.lines),
+            f"            return {HOLDS} if {test} else {FAILS}",
+            "        return at",
+            "    return instance",
         ]
         namespace = {}
         exec("\n".join(lines), namespace)
@@ -266,12 +310,15 @@ def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
 
 
 def probe(ident: Identity, **env):
-    """The function of `ident`'s variables that decides one instance on
+    """The function of `ident`'s variables that makes the probe of one
+    instance: a function of no arguments that decides the instance on
     partially filled tables, where -1 marks an unset cell.  It reads the
     lookups in evaluation order, each after those its index depends on, and
     returns HOLDS, FAILS, or the index of the first unset cell it read.  The
-    tables in `env` are read anew at each call, so they may be filled in
-    place between calls.  Defined for tables of single values, not pairs."""
+    part of each index that reads only the instance's point is computed
+    once, when the probe is made; the tables in `env` are read anew at each
+    call, so they may be filled in place between calls.  Defined for tables
+    of single values: a declaration that unpacks a pair is a ValueError."""
     return ident._probe(env)
 
 

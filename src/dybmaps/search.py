@@ -16,7 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import chain, permutations, product
 from typing import Iterator
 
@@ -127,15 +127,17 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     with forward checking.  Yields None at every inner node, so the
     collector reads the clock in barren subtrees.
 
-    Every instance of M1 and M2 waits on the watch list of the first unset
-    cell its probe reads, and every cell keeps a domain, the bitmask of the
-    values still possible there.  Setting cell k first probes the instance
-    that last failed at k, then the instances on list k: one that fails
-    prunes, one that holds drops out, and one still blocked moves to the
-    list of its next unset cell j, always after k.  The moved instance is
-    then probed once for each value of j's domain, with tab[j] set to it,
-    and every value for which it fails leaves the domain; an empty domain
-    prunes.  Moves and trimmed domains are recorded on k's trail, and the
+    Every instance of M1 and M2 has its own probe, made once before the
+    walk with the index terms that read only its point folded into
+    constants (`kernel.probe`).  It waits on the watch list of the first
+    unset cell its probe reads, and every cell keeps a domain, the bitmask
+    of the values still possible there.  Setting cell k first probes the
+    instance that last failed at k, then the instances on list k: one that
+    fails prunes, one that holds drops out, and one still blocked moves to
+    the list of its next unset cell j, always after k.  The moved instance
+    is then probed once for each value of j's domain, with tab[j] set to
+    it, and every value for which it fails leaves the domain; an empty
+    domain prunes.  Moves and trimmed domains are recorded on k's trail, and the
     trail is undone, last entry first, before cell k takes its next value
     or is unset again.  Only values left in a cell's domain are tried.
 
@@ -150,7 +152,7 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     for cond in ("M1", "M2"):
         at = probe(_TERNARY[cond], mu=tab, n=n)
         for point in product(range(n), repeat=4):
-            instance = partial(at, *point)
+            instance = at(*point)
             watch[instance()].append(instance)
     values = [[v for v in range(n) if mask >> v & 1] for mask in range(1 << n)]  # of each domain
     dom = [(1 << n) - 1] * size

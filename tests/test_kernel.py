@@ -188,6 +188,28 @@ def m2_reference(mu, a, b, c, d):
     return mu(mu(a, b, c), c, d) == mu(mu(a, b, y), y, d)
 
 
+def a12_reference(mu, a, b):
+    return mu(a, a, b) == b
+
+
+#: Each ternary declaration written out by hand, its lookups in the same order.
+TERNARY_REFERENCES = {
+    "M1": m1_reference,
+    "M2": m2_reference,
+    "A11": lambda mu, a, b, c, d: mu(a, b, mu(b, c, d)) == mu(a, c, d),
+    "A12": a12_reference,
+    "A21": lambda mu, a, b, c, d: mu(mu(a, b, c), c, d) == mu(a, b, d),
+    "A22": lambda mu, a, b: mu(a, b, b) == a,
+    "A31": lambda mu, a, b, c, d: mu(a, b, c) == mu(d, b, mu(a, d, c)),
+    "A32": a12_reference,
+    "U": lambda mu, a, b, c: mu(a, mu(a, b, c), c) == b,
+}
+
+
+def test_every_ternary_declaration_has_a_reference():
+    assert TERNARY_REFERENCES.keys() == ternary._TERNARY.keys()
+
+
 class Blocked(Exception):
     pass
 
@@ -225,9 +247,10 @@ def test_probe_fails_exactly_where_check_fails(n):
     failed = 0
     for M in probe_tables(n, rng):
         tab = list(M.table)
-        for cond, holds in (("M1", m1_reference), ("M2", m2_reference)):
-            at = kernel.probe(ternary._TERNARY[cond], mu=tab, n=n)
-            results = {point: at(*point) for point in product(range(n), repeat=4)}
+        for cond, holds in TERNARY_REFERENCES.items():
+            ident = ternary._TERNARY[cond]
+            at = kernel.probe(ident, mu=tab, n=n)
+            results = {point: at(*point)() for point in product(range(n), repeat=len(ident.variables))}
             assert set(results.values()) <= {kernel.HOLDS, kernel.FAILS}
             failing = [point for point, r in results.items() if r == kernel.FAILS]
             assert failing == [p for p in results if not holds(M.mu, *p)]
@@ -248,7 +271,35 @@ def test_probe_on_partial_tables_stops_at_the_first_unset_cell(n):
             else:
                 for i in rng.sample(range(n**3), rng.randrange(1, n**3)):
                     tab[i] = -1
-            for cond, holds in (("M1", m1_reference), ("M2", m2_reference)):
-                at = kernel.probe(ternary._TERNARY[cond], mu=tab, n=n)
-                for point in product(range(n), repeat=4):
-                    assert at(*point) == reference_probe(holds, tab, n, point)
+            for cond, holds in TERNARY_REFERENCES.items():
+                ident = ternary._TERNARY[cond]
+                at = kernel.probe(ident, mu=tab, n=n)
+                for point in product(range(n), repeat=len(ident.variables)):
+                    assert at(*point)() == reference_probe(holds, tab, n, point)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3)])
+def test_probe_of_a_homomorphism_reads_one_argument_lookups_and_explicit_indices(n, m):
+    # _HOM reads h(a), a one-argument lookup, and mu2[...], an index
+    # written out, on complete tables.
+    rng = random.Random(20 + n * m)
+    for _ in range(6):
+        mu = [rng.randrange(n) for _ in range(n**3)]
+        mu2 = [rng.randrange(m) for _ in range(m**3)]
+        h = [rng.randrange(m) for _ in range(n)]
+        if n == m and rng.random() < 0.5:  # a homomorphism onto itself
+            h, mu2 = list(range(n)), mu
+        at = kernel.probe(ternary._HOM, mu=mu, mu2=mu2, h=h, n=n, m=m)
+        results = {p: at(*p)() for p in product(range(n), repeat=3)}
+        want = {(a, b, c): h[mu[(a * n + b) * n + c]] == mu2[(h[a] * m + h[b]) * m + h[c]]
+                for a, b, c in results}
+        assert results == {p: kernel.HOLDS if ok else kernel.FAILS for p, ok in want.items()}
+        failing = [p for p, ok in want.items() if not ok]
+        res = is_ternary_hom(h, TernaryTable(n, tuple(mu)), TernaryTable(m, tuple(mu2)))
+        assert res.witness == (failing[0] if failing else None)
+
+
+def test_probe_refuses_a_declaration_that_unpacks_a_pair():
+    # A probe compares each value it reads with -1, which a pair cannot be.
+    with pytest.raises(ValueError, match=r"cannot probe `a, b = r\(lam, u, v\)`.*not pairs"):
+        kernel.probe(engine._UNITARY, r=[[-1] * 8, [-1] * 8], n=2, h=2)

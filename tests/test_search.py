@@ -1,7 +1,8 @@
+import hashlib
 import math
 import random
 from functools import cache
-from itertools import islice, permutations, product
+from itertools import chain, islice, permutations, product
 
 import numpy as np
 import pytest
@@ -232,11 +233,13 @@ def test_watch_lists_hold_exactly_the_blocked_instances(n, items):
             continue
         state = walk.gi_frame.f_locals
         tab, watch, cell = state["tab"], state["watch"], state["cell"]
-        waiting = [(x.func, x.args, j) for j in range(cell, n**3) for x in watch[j]]
-        assert all(at(*point) == j for at, point, j in waiting)
-        assert len({(at, point) for at, point, _ in waiting}) == len(waiting)
+        # The walk makes one probe per instance, so a probe listed twice is
+        # an instance listed twice.
+        waiting = [(x, j) for j in range(cell, n**3) for x in watch[j]]
+        assert all(x() == j for x, j in waiting)
+        assert len({x for x, _ in waiting}) == len(waiting)
         fresh = [kernel.probe(_TERNARY[cond], mu=tab, n=n) for cond in ("M1", "M2")]
-        assert len(waiting) == sum(at(*point) >= 0 for at in fresh for point in points)
+        assert len(waiting) == sum(at(*point)() >= 0 for at in fresh for point in points)
 
 
 def test_nodes_count_every_item_of_the_stream():
@@ -248,6 +251,15 @@ def test_nodes_count_every_item_of_the_stream():
     assert search_ternary_M1M2(3, "backtracking", limit=120).nodes == 388
     assert search_ternary_M1M2(2, "exhaustive").nodes == M1M2_COUNT_N2
     assert search_structures("quasigroups", 3, limit=5).nodes == 6
+
+
+def test_order_3_stream_to_8000_tables_is_pinned():
+    # The search that perfbench's enumerate workload times: the walk must
+    # reach the same 8,000 tables, in the same order, through the same nodes.
+    rep = search_ternary_M1M2(3, "backtracking", limit=8000)
+    assert (rep.total, rep.nodes, rep.complete) == (8000, 43930, False)
+    digest = hashlib.sha256(bytes(chain.from_iterable(t.table for t in rep.tables))).hexdigest()
+    assert digest == "22bb6b8045920e7f1cd0ffe7d7e245910ab68ee2ca3103efdc81ab170f2bbe7d"
 
 
 def test_ternary_search_closure_at_order_2():
