@@ -70,34 +70,38 @@ def _ints(values) -> tuple:
     return out
 
 
-#: The nested lists of each kind: field, how many lists deep, and what the
-#: innermost lists hold.  A map's constructor names its own.
-_SHAPES = {
-    "binary": (("table", 2, "integers"),),
-    "bijection": (("map", 1, "integers"),),
-    "ternary": (("table", 1, "integers"),),
-    "dynmap": (),
+#: The fields each kind must have, and of each nested list among them how
+#: many lists deep it is and what its innermost lists hold.  A map's
+#: constructor names its own.
+_FIELDS = {
+    "binary": {"table": (2, "integers")},
+    "bijection": {"map": (1, "integers")},
+    "ternary": {"table": (1, "integers"), "order": None},
+    "dynmap": dict.fromkeys(("weight_order", "set_order", "phi", "r")),
 }
 
 
 def from_jsonable(doc: dict):
     """The object a document describes.  Entries and orders must be JSON
     integers: ValueError for floats, bools and strings, as for any other
-    schema violation.  A row that is not a list, or a map entry that is
-    not a pair, is named by its position."""
+    schema violation, a missing field included.  A row that is not a list,
+    or a map entry that is not a pair, is named by its position."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("document must be an object with a 'kind' key")
     kind = doc["kind"]
-    if not (isinstance(kind, str) and kind in _SHAPES):
+    if not (isinstance(kind, str) and kind in _FIELDS):
         raise ValueError(f"unknown kind {kind!r}")
+    for name in _FIELDS[kind]:
+        if name not in doc:
+            raise ValueError(f"{kind} document has no {name!r} field")
     # A malformed row or pair is looked for only once reading has failed,
     # so valid documents pay nothing for the message.
     try:
         return _read(kind, doc)
     except (TypeError, ValueError):
-        for name, depth, inner in _SHAPES[kind]:
-            if name in doc:
-                require_shape(doc[name], depth, inner, name)
+        for name, shape in _FIELDS[kind].items():
+            if shape:
+                require_shape(doc[name], *shape, name)
         raise
 
 

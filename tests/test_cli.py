@@ -123,6 +123,12 @@ def test_non_list_row_is_named(capsys, tmp_path, command, doc, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_missing_field_exits_2_naming_kind_and_field(capsys, tmp_path):
+    p = tmp_path / "no-table.json"
+    p.write_text(json.dumps({"kind": "ternary", "order": 2}))
+    assert run(capsys, "classify", str(p)) == (2, "", "error: ternary document has no 'table' field\n")
+
+
 def _order2_rows():
     """phi and r of a valid map of order 2, as nested lists."""
     R = build_dyb(Triple(shift(2), make_mu_g(shift(2), 3), Bijection.identity(2)))

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -18,6 +19,7 @@ from dybmaps import (
     BinaryTable,
     ClassViolation,
     DynamicalMap,
+    LeftQuasigroup,
     IndexOutOfRange,
     InvarianceViolated,
     M1M2Violation,
@@ -48,6 +50,8 @@ from dybmaps import (
     verify_qdybe,
     verify_unitary,
 )
+from dybmaps import engine, kernel
+from dybmaps.kernel import Identity, check, flatten
 
 ID3 = Bijection.identity(3)
 
@@ -187,6 +191,50 @@ def test_extract_refuses_non_invariant_input():
         extract_mu_L(DynamicalMap(phi=phi, r=r))
 
 
+def count_invariance_checks(monkeypatch) -> list:
+    """A list that grows by one each time the invariance identity is evaluated."""
+    calls, first_failure = [], kernel._first_failure
+
+    def counting(ident, env):
+        if ident is engine._INVARIANCE:
+            calls.append(ident)
+        return first_failure(ident, env)
+
+    monkeypatch.setattr(kernel, "_first_failure", counting)
+    return calls
+
+
+def test_each_map_decides_invariance_once(monkeypatch):
+    calls = count_invariance_checks(monkeypatch)
+    t = Triple(TABLE1, make_mu_g(TABLE1, 1), Bijection.make((2, 0, 1)))
+    R = build_dyb(t)
+    assert verify_invariance(R)
+    assert is_ternary_hom(t.pi, extract_mu_L(R), t.M)
+    assert verify_invariance(R)
+    assert len(calls) == 1
+    # an equal map is another map, and decides its own
+    assert verify_invariance(build_dyb(t)) and len(calls) == 2
+    # a map that is not invariant: the exception carries the verdict's witness
+    r = tuple(tuple(tuple((0, 0) for _ in range(3)) for _ in range(3)) for _ in range(3))
+    bad = DynamicalMap(phi=cyclic(3).rows, r=r)
+    res = verify_invariance(bad)
+    assert not res and res.witness == (0, 0, 1)
+    with pytest.raises(InvarianceViolated, match=r"invariance fails at \(0, 0, 1\)$"):
+        extract_mu_L(bad)
+    assert len(calls) == 3
+
+
+def test_invariance_of_a_non_multiplication_still_raises_from_both_calls(monkeypatch):
+    calls = count_invariance_checks(monkeypatch)
+    R = DynamicalMap(phi=((0, 0), (0, 0)), r=identity_map(2).r)
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch):
+            verify_invariance(R)
+        with pytest.raises(ShapeMismatch):
+            extract_mu_L(R)
+    assert calls == []
+
+
 def test_weight_free_invariant_maps_extract_valid_tables():
     # identity map over an abelian group
     R = DynamicalMap(phi=cyclic(3).rows, r=identity_map(3).r)
@@ -296,6 +344,82 @@ def test_d_morphism():
 def test_conjugation_selfcheck_over_corpus():
     for t, _ in corpus_triples():
         assert conjugation_selfcheck(t)
+
+
+# The triple-leg factorisation that conjugation_selfcheck used to check
+# besides the pair identity, through the three-step product map; kept as
+# the reference the division law must agree with.
+TRIPLE_FACTORISATION = Identity("lam u v w", """
+    a1 = mul(lam, u); a2 = mul(a1, v); a3 = mul(a2, w)
+    b1 = q(mu(p(lam), p(a1), p(a2))); c2 = q(mu(p(a1), p(a2), p(a3)))
+    (ld(lam, b1), ld(b1, a2), ld(a2, a3), ld(lam, a1), ld(a1, c2), ld(c2, a3)) == (
+        xi(lam, u, v), eta(lam, u, v), w, u, xi(a1, v, w), eta(a1, v, w))
+""")
+
+
+def factorisation_verdicts(t):
+    """(pair identity, triple-leg identity) on the map of t, as
+    conjugation_selfcheck reads it."""
+    R = engine.build_dyb(t, checked=False)
+    env = R._tables | {"mul": flatten(t.L.rows), "ld": flatten(t.L.ldiv), "mu": t.M.flat,
+                      "p": t.pi.map, "q": t.pi.inverse}
+    return check(engine._PAIR_FACTORISATION, **env).holds, check(TRIPLE_FACTORISATION, **env).holds
+
+
+def random_rows(rng, n):
+    return [rng.sample(range(n), n) for _ in range(n)]
+
+
+def random_triple(rng, n, ldiv=None):
+    """A seeded triple of order n with an unchecked random M; with `ldiv`,
+    L is built directly with that table as its left division."""
+    base = BinaryTable.from_rows(random_rows(rng, n))
+    L = validate_left_quasigroup(base) if ldiv is None else LeftQuasigroup(base, ldiv)
+    M = TernaryTable.from_flat(n, [rng.randrange(n) for _ in range(n**3)])
+    return Triple(L, M, Bijection.make(rng.sample(range(n), n)))
+
+
+def test_selfcheck_agrees_with_the_triple_leg_factorisation():
+    rng = random.Random(12)
+    valid = [t for t, _ in corpus_triples()]
+    valid += [random_triple(rng, n) for n in range(2, 6) for _ in range(6)]
+    for t in valid:
+        assert factorisation_verdicts(t) == (True, True)
+        assert conjugation_selfcheck(t) is True
+    # in-range division tables that are not the left division of L
+    wrong = []
+    for n in range(2, 6):
+        for _ in range(6):
+            ldiv = tuple(map(tuple, random_rows(rng, n)))
+            t = random_triple(rng, n, ldiv)
+            if ldiv != validate_left_quasigroup(t.L.base).ldiv:
+                wrong.append(t)
+    # and one that differs from the true one in two entries
+    (a, b, c), *rest = TABLE1.ldiv
+    wrong.append(Triple(LeftQuasigroup(TABLE1.base, ((b, a, c), *rest)), make_mu_g(TABLE1, 1), ID3))
+    assert len(wrong) > 20
+    for t in wrong:
+        pair, triple = factorisation_verdicts(t)
+        assert triple is False
+        assert conjugation_selfcheck(t) is (pair and triple)
+
+
+def test_selfcheck_fails_on_the_pair_identity_when_a_build_is_wrong(monkeypatch):
+    build = engine.build_dyb
+
+    def one_pair_changed(t, checked=True):
+        R = build(t, checked)
+        pairs = R.pairs.copy()
+        pairs[1, 1, 0, 1] = (pairs[1, 1, 0, 1] + 1) % R.set_order
+        return DynamicalMap._of(R.shift.copy(), pairs)
+
+    t = Triple(TABLE1, make_mu_g(TABLE1, 1), Bijection.make((1, 2, 0)))
+    assert conjugation_selfcheck(t)
+    monkeypatch.setattr(engine, "build_dyb", one_pair_changed)
+    pair, triple = factorisation_verdicts(t)
+    assert (pair, triple) == (False, False)
+    assert check(engine._LEFT_DIVISION, n=3, mul=flatten(t.L.rows), ld=flatten(t.L.ldiv))
+    assert conjugation_selfcheck(t) is False
 
 
 def test_theta_path_spot_value_and_agreement():

@@ -261,6 +261,24 @@ KINDS = {
 }
 
 
+REQUIRED_FIELDS = [("ternary", "table"), ("ternary", "order"), ("binary", "table"),
+                   ("bijection", "map"), ("dynmap", "weight_order"), ("dynmap", "set_order"),
+                   ("dynmap", "phi"), ("dynmap", "r")]
+
+
+@pytest.mark.parametrize("kind, field", REQUIRED_FIELDS)
+def test_missing_field_is_a_value_error_naming_kind_and_field(tmp_path, kind, field):
+    doc = serialize.to_jsonable(KINDS[kind])
+    del doc[field]
+    message = f"{kind} document has no {field!r} field"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize.from_jsonable(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize.load(path)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_dump_writes_one_compact_line_that_loads_back(tmp_path, kind):
     obj = KINDS[kind]
