@@ -199,16 +199,24 @@ class DynamicalMap:
     @cached_property
     def weight_ldiv(self) -> np.ndarray:
         """Left division of phi read as a multiplication, row-major: lam\\u at
-        lam*n + u.  ShapeMismatch unless phi is a left-quasigroup multiplication."""
+        lam*n + u, each row the inverse permutation of phi's row (argsort).
+        ShapeMismatch unless phi is a left-quasigroup multiplication; a row
+        that is no permutation is named by validate_left_quasigroup."""
         if self.weight_order != self.set_order:
             raise ShapeMismatch(
                 f"weight order {self.weight_order} != set order {self.set_order}"
             )
-        try:
-            lq = validate_left_quasigroup(BinaryTable(tuple(map(tuple, self.shift.tolist()))))
-        except NotLeftQuasigroup as exc:
-            raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
-        ld = np.array(lq.ldiv, dtype=np.int32).reshape(-1)
+        n = self.set_order
+        values = self.shift.copy()
+        values.sort(axis=1)
+        if values.tobytes() != (np.arange(n * n, dtype=np.int32) % n).tobytes():
+            # in-range rows, not all permutations: the tuple check refuses
+            # them and names the first repeat
+            try:
+                validate_left_quasigroup(BinaryTable(self.phi))
+            except NotLeftQuasigroup as exc:
+                raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
+        ld = self.shift.argsort(axis=1).astype(np.int32).reshape(-1)
         ld.flags.writeable = False
         return ld
 

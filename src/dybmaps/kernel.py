@@ -1,8 +1,9 @@
 """One evaluator for every exhaustive identity check (README: "How checks
 are evaluated").  Grids below CROSSOVER points run as generated nested loops
-with early exit, larger ones as numpy slabs; both return the
-lexicographically first failing tuple.  A third generated evaluator, the
-probe, decides one instance on a partially filled table.
+with early exit, larger ones as numpy slabs of about SLAB_POINTS points,
+made one at a time in order; both return the lexicographically first
+failing tuple.  A third generated evaluator, the probe, decides one
+instance on a partially filled table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import copy
 import math
 import textwrap
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .result import PASS, CheckResult
 #: Grid size from which numpy slabs beat the early-exit loop (README).
 CROSSOVER = 1000
 
-#: Most points in one slab, unless one value of the first variable spans
-#: more; bounds the memory of every temporary.
-SLAB_POINTS = 4096
+#: Most points in one slab, unless the last variable alone spans more;
+#: bounds the memory of every temporary.
+SLAB_POINTS = 16384
 
 #: What a probe returns for an instance that holds or fails; any other
 #: result is the index of the unset cell it is blocked on.
@@ -145,28 +146,56 @@ def _reads_pair(step: ast.Assign) -> bool:
     return isinstance(step.targets[0], ast.Tuple) and isinstance(step.value, ast.Subscript)
 
 
-class _Takes(ast.NodeTransformer):
-    """Rewrite every lookup `T[i]` as `T.take(i)`.  Both convert an int32
-    index to intp, but `take` skips the set-up of fancy indexing: 21 us
-    against 63 us for 21,952 entries on a 2-core x86-64 VM."""
+def _take(table: ast.expr, index: ast.expr, axis: int | None) -> ast.Call:
+    keywords = [] if axis is None else [ast.keyword("axis", ast.Constant(axis))]
+    return ast.Call(ast.Attribute(table, "take", ast.Load()), [index], keywords)
+
+
+class _Gathers(_FlatLookups):
+    """Rewrite every lookup as a numpy gather for slabs.  `T[i]` and
+    `T(x1, ..., xk)` become `T.take(i)` at the flat index; `take` skips the
+    set-up of fancy indexing (21 us against 63 us for 21,952 entries on a
+    2-core x86-64 VM).  When xk is the slab's `last` variable, which ranges
+    over n, and x1..x(k-1) do not depend on it (`level`, through nested
+    lookups and assigned names), the lookup reads whole rows instead:
+    `_rows_T.take(_row(j), axis=0)`, with j = (x1*n + ...)*n + x(k-1) and
+    `_rows_T` the table as rows of n, so the index is n times smaller and
+    no index spans the last variable.  A table of pairs, named in `pairs`,
+    is gathered along axis 1 of its (2, N) or (2, N/n, n) form, so each
+    index is converted once for both rows."""
+
+    def __init__(self, last: str | None, level: dict, pairs: set[str]):
+        super().__init__()
+        self.last, self.level, self.pairs = last, level, pairs
+        self.rows = set()
+
+    def visit_Call(self, node: ast.Call) -> ast.Call:
+        *lead, last = node.args
+        pair = node.func.id in self.pairs
+        if (lead and isinstance(last, ast.Name) and last.id == self.last
+                and _level(ast.Tuple(lead), self.level) < self.level[self.last]):
+            self.rows.add(node.func.id)
+            row = super().visit_Call(ast.Call(node.func, lead, [])).slice
+            return _take(ast.Name(f"_rows_{node.func.id}"), ast.Call(ast.Name("_row"), [row], []), int(pair))
+        flat = super().visit_Call(node)
+        return _take(flat.value, flat.slice, 1 if pair else None)
 
     def visit_Subscript(self, node: ast.Subscript) -> ast.Call:
         self.generic_visit(node)
-        return ast.Call(ast.Attribute(node.value, "take", ast.Load()), [node.slice], [])
+        return _take(node.value, node.slice, 1 if node.value.id in self.pairs else None)
 
 
-def _taken(node: ast.AST) -> str:
-    """The source of `node` with every lookup a `take`."""
-    return ast.unparse(_Takes().visit(copy.deepcopy(node)))
+def _row(i):
+    """A row index, which does not read the slab's last variable: an array
+    loses its last axis, of length 1, and the gathered rows take its place."""
+    return i[..., 0] if type(i) is np.ndarray else i
 
 
-def _slab_step(step: ast.Assign) -> str:
-    """A step of a slab, where `a, b = T[i]` reads the two rows of a (2, N)
-    table of pairs."""
-    if _reads_pair(step):
-        t, i = ast.unparse(step.value.value), _taken(step.value.slice)
-        return f"_i = {i}; {ast.unparse(step.targets[0])} = {t}[0].take(_i), {t}[1].take(_i)"
-    return _taken(step)
+def _sides(equation: ast.Expr) -> list[tuple[ast.expr, ast.expr]]:
+    """The (lhs, rhs) components of `lhs == rhs`, whose sides may be tuples."""
+    sides = (equation.value.left, equation.value.comparators[0])
+    lhs, rhs = (s.elts if isinstance(s, ast.Tuple) else [s] for s in sides)
+    return list(zip(lhs, rhs, strict=True))
 
 
 class _HoistLookups(ast.NodeTransformer):
@@ -208,12 +237,11 @@ class Identity:
 
     @cached_property
     def _compiled(self):
-        """(params, scan, slab): the names to supply and the two evaluators."""
+        """(params, scan, slab_of): the names to supply, the loop, and the
+        function of the tables that makes the slab of the variables."""
         tree = _FlatLookups().visit(ast.parse(textwrap.dedent(self.body)))
         *steps, equation = tree.body
-        sides = (equation.value.left, equation.value.comparators[0])
-        lhs, rhs = (s.elts if isinstance(s, ast.Tuple) else [s] for s in sides)
-        pairs = list(zip(lhs, rhs, strict=True))
+        pairs = _sides(equation)
         assigned = set().union(*(_names(s.targets[0]) for s in steps))
         params = sorted(_names(tree) - assigned - set(self.variables) | {"n"})
         src = ast.unparse
@@ -248,13 +276,24 @@ class Identity:
             pad + "if " + " or ".join(f"{a} != {b}" for a, b in pairs_scan) + ":",
             f"{pad}    return ({', '.join(self.variables)},)",
             "    return None",
-            f"def slab({', '.join([*self.variables, *params])}):",
-            *("    " + _slab_step(s) for s in steps),
-            "    return " + " | ".join(f"({_taken(a)} != {_taken(b)})" for a, b in pairs),
         ]
-        namespace = {"FlatTable": FlatTable, "ndarray": np.ndarray}
+
+        # slab_of(tables) runs once per check: it views each table whose
+        # rows are gathered (_Gathers) as rows of n, and returns the slab,
+        # a function of the variables.
+        gathers = _Gathers(self.variables[-1] if self.sizes[-1] == "n" else None, level, paired)
+        *steps, equation = [gathers.visit(s) for s in ast.parse(textwrap.dedent(self.body)).body]
+        lines += [
+            f"def slab_of({', '.join(params)}):",
+            *(f"    _rows_{t} = {t}.reshape({'2, ' if t in paired else ''}-1, n)" for t in sorted(gathers.rows)),
+            f"    def slab({', '.join(self.variables)}):",
+            *("        " + src(s) for s in steps),
+            "        return " + " | ".join(f"({src(a)} != {src(b)})" for a, b in _sides(equation)),
+            "    return slab",
+        ]
+        namespace = {"FlatTable": FlatTable, "ndarray": np.ndarray, "_row": _row}
         exec("\n".join(lines), namespace)
-        return params, namespace["scan"], namespace["slab"]
+        return params, namespace["scan"], namespace["slab_of"]
 
     @cached_property
     def _probe(self):
@@ -351,16 +390,29 @@ def _slab_table(x):
 
 
 def _slab_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
-    params, _, slab = ident._compiled
-    arrays = {p: _slab_table(env[p]) for p in params}
+    params, _, slab_of = ident._compiled
+    slab = slab_of(*(_slab_table(env[p]) for p in params))
     sizes = tuple(env[s] for s in ident.sizes)
-    axes = _axes(sizes)
-    step = max(1, SLAB_POINTS // math.prod(sizes[1:]))
-    for start in range(0, sizes[0], step):
-        first = axes[0][start : start + step]
-        shape = (len(first), *sizes[1:])
-        bad = np.flatnonzero(np.broadcast_to(slab(first, *axes[1:], **arrays), shape))
-        if bad.size:
-            a, *rest = np.unravel_index(bad[0], shape)
-            return (start + int(a), *map(int, rest))
+    fixed, step = _cut(sizes)
+    axes = _axes(sizes[fixed:])
+    for point in product(*map(range, sizes[:fixed])):
+        for start in range(0, sizes[fixed], step):
+            chunk = axes[0][start : start + step]
+            bad = slab(*point, chunk, *axes[1:])
+            if bad.any():
+                shape = (len(chunk), *sizes[fixed + 1 :])
+                a, *rest = np.unravel_index(np.flatnonzero(np.broadcast_to(bad, shape))[0], shape)
+                return (*point, start + int(a), *map(int, rest))
     return None
+
+
+def _cut(sizes: tuple[int, ...]) -> tuple[int, int]:
+    """(fixed, step): each slab fixes the first `fixed` variables, the fewest
+    that leave at most SLAB_POINTS points, and takes `step` values of the
+    next; the last variable is never cut, so its rows stay whole."""
+    fixed = 0
+    while fixed < len(sizes) - 2 and math.prod(sizes[fixed + 1 :]) > SLAB_POINTS:
+        fixed += 1
+    if fixed == len(sizes) - 1:
+        return fixed, sizes[fixed]
+    return fixed, max(1, SLAB_POINTS // math.prod(sizes[fixed + 1 :]))

@@ -6,7 +6,9 @@
 For each order it takes Z/n with its variant-1 ternary table and the
 identity bijection through `make_mu_g`, the `M1` and `M2` checks that
 `build_dyb` makes, the build itself, the seven map checks, `extract_mu_L`
-and a JSON round trip, and prints the seconds of each stage and the peak
+and a JSON round trip.  It prints the wall seconds of each stage, its user
+and system CPU seconds (`ru_utime`, `ru_stime`), so time the operating
+system spends for the process, such as page faults, shows, and the peak
 resident memory (`ru_maxrss`) after it, so the stage that sets the peak
 shows.  The peak is the process's so far, so give one order per run to
 read each order's own.  Every check holds on these maps, so each scans its
@@ -43,15 +45,16 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def pipeline(n: int) -> list[tuple[str, float, float]]:
-    """(stage, seconds, peak RSS in MB after it) for Z/n; raises if a check
-    fails or the round trip differs."""
+def pipeline(n: int) -> list[tuple[str, float, float, float, float]]:
+    """(stage, wall seconds, user seconds, system seconds, peak RSS in MB
+    after it) for Z/n; raises if a check fails or the round trip differs."""
     times = []
 
     def stage(name, fn):
-        t0 = time.perf_counter()
+        r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
         out = fn()
-        times.append((name, time.perf_counter() - t0, peak_mb()))
+        wall, r1 = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
+        times.append((name, wall, r1.ru_utime - r0.ru_utime, r1.ru_stime - r0.ru_stime, peak_mb()))
         return out
 
     G = validate_left_quasigroup(BinaryTable.from_rows([[(u + v) % n for v in range(n)] for u in range(n)]))
@@ -72,9 +75,12 @@ def pipeline(n: int) -> list[tuple[str, float, float]]:
 def main(argv: list[str]) -> None:
     for n in map(int, argv or ["64"]):
         times = pipeline(n)
-        print(f"Z/{n}: total {sum(t for _, t, _ in times):.2f} s, peak RSS {peak_mb():.0f} MB")
-        for name, t, peak in times:
-            print(f"  {name:14s} {t:8.3f} s  {peak:5.0f} MB")
+        wall, user, system = (sum(row[i] for row in times) for i in (1, 2, 3))
+        print(f"Z/{n}: total {wall:.2f} s (user {user:.2f} s, system {system:.2f} s), "
+              f"peak RSS {peak_mb():.0f} MB")
+        print(f"  {'stage':14s} {'wall':>8s}   {'user':>7s}   {'system':>7s}   {'peak':>5s}")
+        for name, t, u, s, peak in times:
+            print(f"  {name:14s} {t:8.3f} s {u:7.3f} s {s:7.3f} s {peak:5.0f} MB")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import random
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from conftest import (
     BIJ3,
@@ -24,6 +25,7 @@ from dybmaps import (
     InvarianceViolated,
     M1M2Violation,
     NotAGroup,
+    NotLeftQuasigroup,
     NotALoop,
     OrderMismatch,
     ShapeMismatch,
@@ -50,7 +52,7 @@ from dybmaps import (
     verify_qdybe,
     verify_unitary,
 )
-from dybmaps import engine, kernel
+from dybmaps import engine, kernel, serialize
 from dybmaps.kernel import Identity, check, flatten
 
 ID3 = Bijection.identity(3)
@@ -233,6 +235,38 @@ def test_invariance_of_a_non_multiplication_still_raises_from_both_calls(monkeyp
         with pytest.raises(ShapeMismatch):
             extract_mu_L(R)
     assert calls == []
+
+
+def quasigroup_ldiv(R: DynamicalMap) -> np.ndarray:
+    """phi's left division derived row by row through validate_left_quasigroup."""
+    return np.array(validate_left_quasigroup(BinaryTable(R.phi)).ldiv, dtype=np.int32).reshape(-1)
+
+
+def test_weight_ldiv_equals_the_quasigroup_derivation():
+    rng = random.Random(13)
+    for n in range(2, 9):
+        for _ in range(3):
+            L = lq([rng.sample(range(n), n) for _ in range(n)])
+            M = TernaryTable.from_flat(n, [rng.randrange(n) for _ in range(n**3)])
+            built = build_dyb(Triple(L, M, Bijection.make(rng.sample(range(n), n))), checked=False)
+            read = serialize.loads(serialize.dumps(built))
+            for R in (built, DynamicalMap(phi=built.phi, r=built.r), read):
+                assert np.array_equal(R.weight_ldiv, quasigroup_ldiv(R))
+                assert R.weight_ldiv.dtype == np.int32 and not R.weight_ldiv.flags.writeable
+            assert verify_invariance(read) and extract_mu_L(read) == extract_mu_L(built)
+
+
+def test_a_phi_that_is_no_left_quasigroup_is_named_by_every_caller():
+    phi = ((1, 2, 0), (0, 1, 2), (2, 0, 0))
+    with pytest.raises(NotLeftQuasigroup) as refused:
+        validate_left_quasigroup(BinaryTable(phi))
+    assert str(refused.value) == "row 2 repeats value 0"
+    want = "phi is not a left-quasigroup multiplication: row 2 repeats value 0"
+    R = DynamicalMap(phi=phi, r=identity_map(3).r)
+    for call in (verify_invariance, extract_mu_L, lambda R: check_D_class(R, "D2")):
+        with pytest.raises(ShapeMismatch) as raised:
+            call(R)
+        assert str(raised.value) == want
 
 
 def test_weight_free_invariant_maps_extract_valid_tables():

@@ -125,6 +125,48 @@ def test_loop_and_slab_evaluators_agree_on_every_identity(monkeypatch):
     assert seen == declared_identities()
 
 
+@pytest.fixture(scope="module")
+def loop_results():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_first_failure", kernel._loop_first)
+        return [every_check(n, seed) for n in range(2, 9) for seed in range(2)]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+def test_slabs_of_every_cut_agree_with_the_loop(monkeypatch, loop_results, budget):
+    # At the default budget every grid of orders 2-8 fits in one slab; these
+    # budgets fix one or two leading variables and cut the next, unevenly.
+    monkeypatch.setattr(kernel, "SLAB_POINTS", budget)
+    monkeypatch.setattr(kernel, "_first_failure", kernel._slab_first)
+    assert [every_check(n, seed) for n in range(2, 9) for seed in range(2)] == loop_results
+
+
+def test_slabs_fix_the_fewest_leading_variables_and_never_cut_the_last(monkeypatch):
+    monkeypatch.setattr(kernel, "SLAB_POINTS", 16384)
+    assert kernel._cut((16, 16, 16, 16)) == (0, 4)
+    assert kernel._cut((28, 28, 28, 28)) == (1, 20)
+    assert kernel._cut((100, 100, 100, 100)) == (1, 1)
+    assert kernel._cut((5, 200, 200)) == (1, 81)
+    assert kernel._cut((40000,)) == (0, 40000)
+    monkeypatch.setattr(kernel, "SLAB_POINTS", 1)
+    assert kernel._cut((3, 4, 5, 6)) == (2, 1)
+    assert kernel._cut((3, 4)) == (0, 1)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 16384])
+def test_a_last_variable_over_h_reads_single_entries(monkeypatch, budget):
+    # t(a, b, c) strides by n, but c ranges over h < n: whole rows of n
+    # would not line up with the grid, so a slab must not gather them.
+    monkeypatch.setattr(kernel, "SLAB_POINTS", budget)
+    n, h = 6, 4
+    cell = Identity("a b c:h", "t(a, b, c) == s(a, b)")
+    t = [0] * n**3
+    for a, b, c in [(0, 0, 5), (1, 2, 3), (3, 0, 0)]:
+        t[(a * n + b) * n + c] = 1
+    env = {"n": n, "h": h, "t": tuple(t), "s": (0,) * n**2}
+    assert kernel._slab_first(cell, env) == kernel._loop_first(cell, env) == (1, 2, 3)
+
+
 def reference_witness(n, k, fails):
     return next((w for w in product(range(n), repeat=k) if fails(*w)), None)
 
