@@ -7,10 +7,13 @@ literature with 1-based labels translate by subtracting 1 everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
+import numpy as np
+
 from .errors import IndexOutOfRange, NotAPermutation, NotLeftQuasigroup
-from .kernel import Identity, check, flatten, in_range
+from .kernel import Arrays, Identity, check, in_range, integer
 from .result import CheckResult
 
 Rows = tuple[tuple[int, ...], ...]
@@ -36,66 +39,82 @@ _ASSOCIATIVE = Identity("a b c", "mul(mul(a, b), c) == mul(a, mul(b, c))")
 _RIGHT_DISTRIBUTIVE = Identity("x y z", "mul(mul(x, y), z) == mul(mul(x, z), mul(y, z))")
 
 
-def _freeze_rows(rows) -> Rows:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+class BinaryTable(Arrays):
+    """An n x n Cayley table over 0..n-1; the row index is the left operand.
 
+    The table is one read-only (n, n) int32 array, `array`; `rows[u][v]` is
+    the same as nested tuples, made anew on each use.  `BinaryTable(rows)`
+    checks the shape and range of nested sequences, and stores an entry that
+    passes its range test without being an int (True, 0.5) as int32 does.
+    """
 
-@dataclass(frozen=True)
-class BinaryTable:
-    """An n x n Cayley table over 0..n-1; the row index is the left operand."""
+    __slots__ = ("order", "array")
+    _arrays = ("array",)
 
-    rows: Rows
-
-    def __post_init__(self):
-        n = len(self.rows)
+    def __init__(self, rows):
+        n = len(rows)
         if n < 1:
             raise ValueError("order must be >= 1")
         try:
-            fine = set(map(len, self.rows)) == {n} and in_range(chain.from_iterable(self.rows), n)
+            fine = set(map(len, rows)) == {n} and in_range(chain.from_iterable(rows), n)
         except TypeError:  # a row without a length, named by the loop below
             fine = False
-        if fine:
-            return
-        for u, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError(f"row {u} has length {len(row)}, expected {n}")
-            for v, x in enumerate(row):
-                if not 0 <= x < n:
-                    raise ValueError(f"entry ({u},{v}) = {x} out of range 0..{n - 1}")
+        if not fine:
+            for u, row in enumerate(rows):
+                if len(row) != n:
+                    raise ValueError(f"row {u} has length {len(row)}, expected {n}")
+                for v, x in enumerate(row):
+                    if not 0 <= x < n:
+                        raise ValueError(f"entry ({u},{v}) = {x} out of range 0..{n - 1}")
+        self._bind(np.array(rows, np.int32))
+
+    def _bind(self, array: np.ndarray) -> None:
+        array.setflags(write=False)
+        self.order, self.array = array.shape[0], array
 
     @classmethod
     def from_rows(cls, rows) -> BinaryTable:
-        return cls(_freeze_rows(rows))
+        """The table of nested sequences of integers (ValueError for any
+        other entry, a float or a string included)."""
+        return cls(tuple(tuple(map(integer, row)) for row in rows))
 
     @property
-    def order(self) -> int:
-        return len(self.rows)
+    def rows(self) -> Rows:
+        return tuple(map(tuple, self.array.tolist()))
 
     def mul(self, u: int, v: int) -> int:
-        n = len(self.rows)
+        n = self.order
         if not (0 <= u < n and 0 <= v < n):
             raise IndexOutOfRange(f"({u},{v}) outside 0..{n - 1}")
-        return self.rows[u][v]
+        return int(self.array[u, v])
 
 
-@dataclass(frozen=True)
-class LeftQuasigroup:
-    """A validated table whose rows are permutations, with left division.
+class LeftQuasigroup(Arrays):
+    """A table whose rows are permutations, with its left division.
 
-    `ldiv[u][w]` is the unique v with u*v = w.  It is precomputed because
-    every downstream construction reads it inside inner loops.
+    `division[u, w]`, a read-only (n, n) int32 array, is the unique v with
+    u*v = w; `ldiv[u][w]` is the same as nested tuples, made anew on each
+    use, and `array` is the base's.  `LeftQuasigroup(base, ldiv)` keeps the
+    division it is given, unchecked; validate_left_quasigroup derives it.
     """
 
-    base: BinaryTable
-    ldiv: Rows
+    __slots__ = ("order", "base", "array", "division")
+    _arrays = ("array", "division")
 
-    @property
-    def order(self) -> int:
-        return self.base.order
+    def __init__(self, base: BinaryTable, ldiv):
+        self._bind(base, np.array(ldiv, np.int32))
+
+    def _bind(self, base: BinaryTable, division: np.ndarray) -> None:
+        division.setflags(write=False)
+        self.order, self.base, self.array, self.division = base.order, base, base.array, division
 
     @property
     def rows(self) -> Rows:
         return self.base.rows
+
+    @property
+    def ldiv(self) -> Rows:
+        return tuple(map(tuple, self.division.tolist()))
 
     def mul(self, u: int, v: int) -> int:
         return self.base.mul(u, v)
@@ -104,7 +123,7 @@ class LeftQuasigroup:
         n = self.order
         if not (0 <= u < n and 0 <= w < n):
             raise IndexOutOfRange(f"({u},{w}) outside 0..{n - 1}")
-        return self.ldiv[u][w]
+        return int(self.division[u, w])
 
 
 @dataclass(frozen=True)
@@ -129,7 +148,9 @@ class Bijection:
 
     @classmethod
     def make(cls, mapping) -> Bijection:
-        m = tuple(int(x) for x in mapping)
+        """The bijection of a sequence of integers (ValueError for any other
+        entry); NotAPermutation names the first value out of range or repeated."""
+        m = tuple(map(integer, mapping))
         n = len(m)
         inv = [-1] * n
         for i, x in enumerate(m):
@@ -160,39 +181,40 @@ class Bijection:
         return Bijection.make(tuple(self.map[x] for x in other.map))
 
 
+@cache
+def _permutation_rows(n: int) -> bytes:
+    """The bytes of an (n, n) int32 array whose every row is 0..n-1."""
+    return (np.arange(n * n, dtype=np.int32) % n).tobytes()
+
+
 def validate_left_quasigroup(t: BinaryTable) -> LeftQuasigroup:
-    """Check every row is a permutation and derive the left-division table."""
-    n = t.order
-    ldiv = []
-    for u, row in enumerate(t.rows):
-        back = [-1] * n
-        for v, w in enumerate(row):
-            if back[w] != -1:
-                raise NotLeftQuasigroup(u, w)
-            back[w] = v
-        ldiv.append(tuple(back))
-    return LeftQuasigroup(t, tuple(ldiv))
+    """Check every row is a permutation and derive the left-division table,
+    each row the inverse permutation of t's row (argsort).  A table whose
+    sorted rows are not all 0..n-1 is read row by row, and NotLeftQuasigroup
+    names its first row that repeats a value, and that value."""
+    mul = t.array
+    if np.sort(mul, axis=1).tobytes() != _permutation_rows(t.order):
+        u, row = next((u, row) for u, row in enumerate(mul.tolist()) if len(set(row)) < len(row))
+        raise NotLeftQuasigroup(u, next(w for v, w in enumerate(row) if w in row[:v]))
+    return LeftQuasigroup._of(t, mul.argsort(axis=1).astype(np.int32))
 
 
 def classify_structure(t: BinaryTable) -> StructureFlags:
     """Exhaustively classify a table; never raises."""
     n = t.order
-    rows = t.rows
-    full = set(range(n))
-    rows_ok = all(set(row) == full for row in rows)
-    cols_ok = all({rows[u][v] for u in range(n)} == full for v in range(n))
-    is_q = rows_ok and cols_ok
+    mul = t.array
+    rows_ok = np.sort(mul, axis=1).tobytes() == _permutation_rows(n)
+    is_q = rows_ok and np.sort(mul.T, axis=1).tobytes() == _permutation_rows(n)
 
-    identity = None
-    for e in range(n):
-        if all(rows[e][u] == u and rows[u][e] == u for u in range(n)):
-            identity = e
-            break
+    # the first e with e*u = u*e = u for every u
+    ids = np.arange(n)
+    units = np.flatnonzero((mul == ids).all(axis=1) & (mul.T == ids).all(axis=1))
+    identity = int(units[0]) if units.size else None
     is_loop = is_q and identity is not None
 
-    mul = flatten(rows)
-    assoc = check(_ASSOCIATIVE, n=n, mul=mul).holds
-    rdist = check(_RIGHT_DISTRIBUTIVE, n=n, mul=mul).holds
+    flat = mul.reshape(-1)
+    assoc = check(_ASSOCIATIVE, n=n, mul=flat).holds
+    rdist = check(_RIGHT_DISTRIBUTIVE, n=n, mul=flat).holds
     return StructureFlags(
         is_left_quasigroup=rows_ok,
         is_quasigroup=is_q,
@@ -211,4 +233,4 @@ def check_binary_condition(G: LeftQuasigroup, cond: str) -> CheckResult:
     """
     if cond not in _BINARY:
         raise ValueError(f"unknown binary condition {cond!r}")
-    return check(_BINARY[cond], cond, n=G.order, mul=flatten(G.rows), ld=flatten(G.ldiv))
+    return check(_BINARY[cond], cond, n=G.order, mul=G.array.reshape(-1), ld=G.division.reshape(-1))

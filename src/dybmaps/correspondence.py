@@ -9,13 +9,14 @@ vertex-IRF correspondence; any map in class D1 admits one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup, check_binary_condition, classify_structure, validate_left_quasigroup
 from .engine import DynamicalMap, Triple, build_dyb
 from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch
-from .kernel import Identity, check, flatten
+from .kernel import Identity, _axes, check
 from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition, make_mu_g
 
@@ -76,26 +77,18 @@ def build_correspondence(
     for cond in ("M1", "M2"):
         check_ternary_condition(M, cond).require(M1M2Violation)
     n = M.order
-    mul1, mul2 = L1.rows, L2.rows
-    ld2 = L2.ldiv
-    rho = tuple(pi2.inverse[pi1.map[i]] for i in range(n))
-
-    jt = []
-    for lam1 in range(n):
-        rl = rho[lam1]
-        lam_rows = []
-        for u in range(n):
-            row = []
-            for v in range(n):
-                t0 = mul1[lam1][v]
-                t1 = mul1[t0][u]
-                r0, r1 = rho[t0], rho[t1]
-                row.append((ld2[rl][r0], ld2[r0][r1]))
-            lam_rows.append(tuple(row))
-        seen = {pair for r in lam_rows for pair in r}
-        if len(seen) != n * n:
-            raise AlgebraError(f"gauge at weight {lam1} is not bijective")
-        jt.append(tuple(lam_rows))
+    rho = np.array(pi2.inverse, np.int32).take(pi1.map)
+    mul1, ld2 = L1.array.reshape(-1), L2.division.reshape(-1)
+    # J(lam1)(u, v) = (rho(lam1) \ r0, r0 \ r1), r0 = rho(lam1*v), r1 = rho((lam1*v)*u)
+    lam1, u, v = _axes((n, n, n))
+    t0 = mul1.take(lam1 * n + v)
+    r0, r1 = rho.take(t0), rho.take(mul1.take(t0 * n + u))
+    j0 = np.broadcast_to(ld2.take(rho.take(lam1) * n + r0), (n, n, n))
+    j1 = ld2.take(r0 * n + r1)
+    codes = np.sort((j0 * n + j1).reshape(n, -1), axis=1)  # each weight's pairs, sorted
+    repeats = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
+    if repeats.size:
+        raise AlgebraError(f"gauge at weight {repeats[0]} is not bijective")
 
     return CorrespondenceInstance(
         L1=L1,
@@ -105,13 +98,13 @@ def build_correspondence(
         pi2=pi2,
         R1=build_dyb(Triple(L1, M, pi1), checked=False),
         R2=build_dyb(Triple(L2, M, pi2), checked=False),
-        J=tuple(jt),
+        J=tuple(tuple(map(tuple, map(zip, a, b))) for a, b in zip(j0.tolist(), j1.tolist())),
     )
 
 
 def verify_irf_irf(c: CorrespondenceInstance) -> CheckResult:
     """Check R1(lam1) = J(lam1)^-1 o swap R2(rho lam1) swap o (swap J(lam1) swap)."""
-    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=tuple(zip(*flatten(flatten(c.J)))),
+    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=tuple(zip(*chain.from_iterable(chain.from_iterable(c.J)))),
                  r1=c.R1.pairs.reshape(2, -1), r2=c.R2.pairs.reshape(2, -1))
 
 
@@ -134,12 +127,8 @@ def vertex_counterpart(
     if L.order != G.order or pi.order != L.order:
         raise OrderMismatch(f"orders differ: L={L.order}, G={G.order}, pi={pi.order}")
     check_binary_condition(G, "LQ1").require(LQ1Violation)
-    n = L.order
-    p = pi.map
-    q = pi.inverse
-    gmul = G.rows
-    rows = tuple(tuple(q[gmul[p[u]][p[v]]] for v in range(n)) for u in range(n))
-    L_prime = validate_left_quasigroup(BinaryTable(rows))
+    p, q = np.array((pi.map, pi.inverse), np.int32)
+    L_prime = validate_left_quasigroup(BinaryTable._of(q.take(G.array.take(p, 0).take(p, 1))))
     R_prime = build_dyb(Triple(L_prime, make_mu_g(G, 1), pi))
     return L_prime, R_prime
 
@@ -173,9 +162,8 @@ def eq26_family(G: LeftQuasigroup) -> DynamicalMap:
         raise NotQuasigroup("columns are not permutations")
     check_binary_condition(G, "LQ1").require(LQ1Violation)
     n = G.order
-    gmul, gld = np.array(G.rows, dtype=np.int32), np.array(G.ldiv, dtype=np.int32)
     lam, _, v = np.ogrid[:n, :n, :n]
     pairs = np.empty((2, n, n, n), dtype=np.int32)
     pairs[0] = v
-    pairs[1] = gmul[lam, gld]
+    pairs[1] = G.array[lam, G.division]
     return DynamicalMap._of(np.tile(np.arange(n, dtype=np.int32), (n, 1)), pairs)

@@ -41,7 +41,7 @@ from .errors import (
     ShapeMismatch,
     UnitNotPreserved,
 )
-from .kernel import Identity, _axes, check, flatten, require_shape
+from .kernel import Arrays, Identity, _axes, check, integer, require_shape
 from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition
 
@@ -112,7 +112,7 @@ _PAIR_FACTORISATION = Identity("lam u v", """
 _LEFT_DIVISION = Identity("lam u", "ld(lam, mul(lam, u)) == u")
 
 
-class DynamicalMap:
+class DynamicalMap(Arrays):
     """A weight-indexed family of maps on X x X plus the weight shift.
 
     The map is two read-only int32 arrays: `shift[lam, u]`, of shape (h, n),
@@ -128,6 +128,8 @@ class DynamicalMap:
     the JSON reader.
     """
 
+    _arrays = ("shift", "pairs")
+
     def __init__(self, phi, r):
         self._bind(*_map_arrays(phi, r))
 
@@ -138,15 +140,10 @@ class DynamicalMap:
         is checked: the JSON reader compares a document's orders there."""
         return cls._of(*_map_arrays(phi, r, declared))
 
-    @classmethod
-    def _of(cls, shift: np.ndarray, pairs: np.ndarray) -> DynamicalMap:
-        """The map of arrays that a builder made valid: (h, n) and (2, h, n, n), int32."""
-        R = cls.__new__(cls)
-        R._bind(shift, pairs)
-        return R
-
     def _bind(self, shift: np.ndarray, pairs: np.ndarray) -> None:
-        shift.flags.writeable = pairs.flags.writeable = False
+        """Arrays that a builder made valid: (h, n) and (2, h, n, n), int32."""
+        shift.setflags(write=False)
+        pairs.setflags(write=False)
         self.shift, self.pairs = shift, pairs
 
     @property
@@ -170,15 +167,6 @@ class DynamicalMap:
         """The braiding companion: output of R(lam) with slots swapped."""
         return (int(self.pairs[1, lam, u, v]), int(self.pairs[0, lam, u, v]))
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pairs.shape == other.pairs.shape and np.array_equal(self.shift, other.shift)
-                and np.array_equal(self.pairs, other.pairs))
-
-    def __hash__(self) -> int:
-        return hash((self.pairs.shape, self.shift.tobytes(), self.pairs.tobytes()))
-
     def __repr__(self) -> str:
         return f"DynamicalMap(weight_order={self.weight_order}, set_order={self.set_order})"
 
@@ -199,26 +187,17 @@ class DynamicalMap:
     @cached_property
     def weight_ldiv(self) -> np.ndarray:
         """Left division of phi read as a multiplication, row-major: lam\\u at
-        lam*n + u, each row the inverse permutation of phi's row (argsort).
-        ShapeMismatch unless phi is a left-quasigroup multiplication; a row
-        that is no permutation is named by validate_left_quasigroup."""
+        lam*n + u, as validate_left_quasigroup derives it.  ShapeMismatch
+        unless phi is a left-quasigroup multiplication."""
         if self.weight_order != self.set_order:
             raise ShapeMismatch(
                 f"weight order {self.weight_order} != set order {self.set_order}"
             )
-        n = self.set_order
-        values = self.shift.copy()
-        values.sort(axis=1)
-        if values.tobytes() != (np.arange(n * n, dtype=np.int32) % n).tobytes():
-            # in-range rows, not all permutations: the tuple check refuses
-            # them and names the first repeat
-            try:
-                validate_left_quasigroup(BinaryTable(self.phi))
-            except NotLeftQuasigroup as exc:
-                raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
-        ld = self.shift.argsort(axis=1).astype(np.int32).reshape(-1)
-        ld.flags.writeable = False
-        return ld
+        try:
+            L = validate_left_quasigroup(BinaryTable._of(self.shift))
+        except NotLeftQuasigroup as exc:
+            raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
+        return L.division.reshape(-1)
 
 
 _INT = frozenset({int})
@@ -299,11 +278,6 @@ def _reject(phi, r, declared) -> NoReturn:
     raise RuntimeError("the whole-field passes refused a map whose entries are all valid")
 
 
-def _int32(table) -> np.ndarray:
-    """A table of tuples, or a tuple, as an int32 array."""
-    return np.array(table, dtype=np.int32)
-
-
 @dataclass(frozen=True)
 class Triple:
     """Input triple: left quasigroup L, ternary table M, bijection pi: L -> M."""
@@ -331,12 +305,13 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
         for cond in ("M1", "M2"):
             check_ternary_condition(t.M, cond).require(M1M2Violation)
     n = t.L.order
-    mul, ld, p, q = map(_int32, (t.L.rows, t.L.ldiv, t.pi.map, t.pi.inverse))
+    mul, ld = t.L.array, t.L.division
+    p, q = np.array((t.pi.map, t.pi.inverse), np.int32)
     lam, _, v = _axes((n, n, n))
     lam_n, lu = lam * n, mul[:, :, None]
     luv = mul.take(lu * n + v)
     pairs = np.empty((2, n, n, n), dtype=np.int32)
-    mu = t.M.flat.array.take((p[:, None, None] * n + p.take(lu)) * n + p.take(luv))
+    mu = t.M.array.take((p[:, None, None] * n + p.take(lu)) * n + p.take(luv))
     xi = ld.take(lam_n + q.take(mu), out=pairs[1])
     ld.take(mul.take(lam_n + xi) * n + luv, out=pairs[0])
     return DynamicalMap._of(mul, pairs)
@@ -403,7 +378,7 @@ def extract_mu_L(R: DynamicalMap) -> TernaryTable:
     a = _axes((n, n, n))[0]
     # mu(a, b, c) = a * xi(a, a\\b, b\\c)
     xi = R.pairs[1].take((a * n + ld[:, :, None]) * n + ld)
-    return TernaryTable(n, tuple(R.shift.take(a * n + xi).ravel().tolist()))
+    return TernaryTable._of(n, R.shift.take(a * n + xi).reshape(-1))
 
 
 def check_D_class(R: DynamicalMap, cls: str) -> CheckResult:
@@ -441,23 +416,21 @@ def reconstruct_G(
     n = t.L.order
     if not 0 <= basepoint < n:
         raise IndexOutOfRange(f"basepoint {basepoint} outside 0..{n - 1}")
-    lam = basepoint
-    mul = t.L.rows
-    ld = t.L.ldiv
-    p = t.pi.map
-    mu = t.M.mu
-    q = t.pi.inverse
-
+    p, q = np.array((t.pi.map, t.pi.inverse), np.int32)
+    # a * b = lam \ pi^-1(mu(...)) at the basepoint lam, each mu reading
+    # pl = pi(lam), pa = pi(lam*a) down the rows and pb = pi(lam*b) across
+    pl = p[basepoint]
+    pa = p.take(t.L.array[basepoint])[:, None]
+    pb = pa.T
     if cls == "A1":
-        star = lambda a, b: ld[lam][q[mu(p[mul[lam][a]], p[lam], p[mul[lam][b]])]]
+        cells = (pa * n + pl) * n + pb
     elif cls == "A2":
-        star = lambda a, b: ld[lam][q[mu(p[mul[lam][b]], p[lam], p[mul[lam][a]])]]
+        cells = (pb * n + pl) * n + pa
     else:
-        star = lambda a, b: ld[lam][q[mu(p[lam], p[mul[lam][a]], p[mul[lam][b]])]]
-
-    rows = tuple(tuple(star(a, b) for b in range(n)) for a in range(n))
-    G = validate_left_quasigroup(BinaryTable(rows))
-    pi_prime = Bijection.make(tuple(ld[lam][u] for u in range(n)))
+        cells = (pl * n + pa) * n + pb
+    ld = t.L.division[basepoint]
+    G = validate_left_quasigroup(BinaryTable._of(ld.take(q.take(t.M.array.take(cells)))))
+    pi_prime = Bijection.make(ld.tolist())
     return G, pi_prime
 
 
@@ -470,11 +443,11 @@ def is_D_morphism(f, V, V2) -> bool:
     """
     L, R = V
     L2, R2 = V2
-    fm = tuple(f.map) if isinstance(f, Bijection) else tuple(int(x) for x in f)
+    fm = tuple(f.map) if isinstance(f, Bijection) else tuple(map(integer, f))
     if len(fm) != L.order or any(not 0 <= x < L2.order for x in fm):
         return False
     return bool(
-        check(_HOMOMORPHISM, n=L.order, m=L2.order, f=fm, mul=flatten(L.rows), mul2=flatten(L2.rows))
+        check(_HOMOMORPHISM, n=L.order, m=L2.order, f=fm, mul=L.array.reshape(-1), mul2=L2.array.reshape(-1))
         and check(_INTERTWINES, **R._tables, m=R2.set_order, f=fm, r2=R2.pairs.reshape(2, -1))
     )
 
@@ -493,7 +466,7 @@ def conjugation_selfcheck(t: Triple) -> bool:
     independent of M1/M2, so False indicates an implementation bug.
     """
     R = build_dyb(t, checked=False)
-    env = R._tables | {"mul": flatten(t.L.rows), "ld": flatten(t.L.ldiv), "mu": t.M.flat,
+    env = R._tables | {"mul": t.L.array.reshape(-1), "ld": t.L.division.reshape(-1), "mu": t.M.array,
                       "p": t.pi.map, "q": t.pi.inverse}
     return bool(check(_PAIR_FACTORISATION, **env) and check(_LEFT_DIVISION, **env))
 
@@ -527,12 +500,12 @@ def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:
             f"pi({flags_lp.identity}) = {pi.map[flags_lp.identity]} != {e_g}"
         )
     n = LP.order
-    lmul, ld, gmul, gld, p, q = map(_int32, (LP.rows, LP.ldiv, G.rows, G.ldiv, pi.map, pi.inverse))
+    lmul, ld, gmul, gld = LP.array, LP.division, G.array, G.division
+    p, q = np.array((pi.map, pi.inverse), np.int32)
     lam, u, v = np.ogrid[:n, :n, :n]
     # theta[u, x] = pi(u)^-1 * pi(u * pi^-1(x)), row by row a bijection of G
     theta = gmul[gld[p, e_g][:, None], p[lmul[:, q]]]
-    theta_inv = np.argsort(theta, axis=1).astype(np.int32)
-    assert (np.sort(theta, axis=1) == np.arange(n)).all(), "translation defect is not bijective"
+    theta_inv = validate_left_quasigroup(BinaryTable._of(theta)).division
     lu = lmul[lam, u]
     xi = q[theta_inv[lam, theta[lu, p[v]]]]
     eta = ld[lmul[lam, xi], lmul[lu, v]]

@@ -11,9 +11,10 @@ from __future__ import annotations
 import ast
 import copy
 import math
+import operator
 import textwrap
 from functools import cache, cached_property
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -32,26 +33,41 @@ HOLDS = -1
 FAILS = -2
 
 
-class FlatTable:
-    """A flat table as a tuple, for the loop, and lazily as int32, for slabs
-    (a table too large for int32 indices would not fit in memory as a tuple)."""
+class Arrays:
+    """Base of the package's tables and maps, each held in read-only int32
+    arrays, the attributes `_arrays` names.  `_of` makes one, unchecked,
+    from arrays that a builder made valid, through the class's `_bind`;
+    equality and hashing are by content."""
 
-    __slots__ = ("values", "_array")
+    __slots__ = ()
+    _arrays: tuple[str, ...]
 
-    def __init__(self, values):
-        self.values = tuple(values)
-        self._array = None
+    @classmethod
+    def _of(cls, *args):
+        obj = cls.__new__(cls)
+        obj._bind(*args)
+        return obj
 
-    @property
-    def array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.array(self.values, dtype=np.int32)
-        return self._array
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self._arrays)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, a).tobytes() for a in self._arrays))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{a}={getattr(self, a).tolist()}" for a in self._arrays)
+        return f"{type(self).__name__}({fields})"
 
 
-def flatten(rows) -> tuple:
-    """Nested rows as one row-major tuple."""
-    return tuple(chain.from_iterable(rows))
+def integer(x) -> int:
+    """x as an int if it is an integer (Python's or numpy's, bools too), where
+    int(x) would truncate a float or parse a string: ValueError otherwise."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
 
 
 def in_range(values, n: int) -> bool:
@@ -237,8 +253,9 @@ class Identity:
 
     @cached_property
     def _compiled(self):
-        """(params, scan, slab_of): the names to supply, the loop, and the
-        function of the tables that makes the slab of the variables."""
+        """(params, tables, scan, slab_of): the names to supply, those of them
+        that are tables, the loop, and the function of the tables that makes
+        the slab of the variables."""
         tree = _FlatLookups().visit(ast.parse(textwrap.dedent(self.body)))
         *steps, equation = tree.body
         pairs = _sides(equation)
@@ -260,12 +277,13 @@ class Identity:
             placed[at].append(f"{src(s.targets[0])} = {src(value)}")
         pairs_scan = [(src(_hoist(a, k, level, placed, temps)), src(_hoist(b, k, level, placed, temps)))
                       for a, b in pairs]
-        # The loop reads a FlatTable's tuple, an array's list and a table of
-        # pairs as a list of pairs, each made once per check.
+        # The loop reads an array as its list, and a table of pairs as a list
+        # of pairs, each made once per check; slabs read tables as int32.
+        tables = {x.value.id for x in ast.walk(tree) if isinstance(x, ast.Subscript)}
         paired = {src(s.value.value) for s in steps if _reads_pair(s)}
         lines = ["def scan(_env):"]
         for p in params:
-            rows = f"({p}.values if type({p}) is FlatTable else {p}.tolist() if type({p}) is ndarray else {p})"
+            rows = f"({p}.tolist() if type({p}) is ndarray else {p})"
             lines.append(f"    {p} = _env[{p!r}]; {p} = {f'list(zip(*{rows}))' if p in paired else rows}")
         lines += [f"    _r{i} = range(_env[{s!r}])" for i, s in enumerate(self.sizes)]
         lines += ["    " + s for s in placed[0]]
@@ -278,22 +296,23 @@ class Identity:
             "    return None",
         ]
 
-        # slab_of(tables) runs once per check: it views each table whose
-        # rows are gathered (_Gathers) as rows of n, and returns the slab,
-        # a function of the variables.
+        # slab_of(tables) runs once per check: it reads each table as int32,
+        # views each table whose rows are gathered (_Gathers) as rows of n,
+        # and returns the slab, a function of the variables.
         gathers = _Gathers(self.variables[-1] if self.sizes[-1] == "n" else None, level, paired)
         *steps, equation = [gathers.visit(s) for s in ast.parse(textwrap.dedent(self.body)).body]
         lines += [
             f"def slab_of({', '.join(params)}):",
+            *(f"    {t} = asarray({t}, int32)" for t in sorted(tables)),
             *(f"    _rows_{t} = {t}.reshape({'2, ' if t in paired else ''}-1, n)" for t in sorted(gathers.rows)),
             f"    def slab({', '.join(self.variables)}):",
             *("        " + src(s) for s in steps),
             "        return " + " | ".join(f"({src(a)} != {src(b)})" for a, b in _sides(equation)),
             "    return slab",
         ]
-        namespace = {"FlatTable": FlatTable, "ndarray": np.ndarray, "_row": _row}
+        namespace = {"ndarray": np.ndarray, "asarray": np.asarray, "int32": np.int32, "_row": _row}
         exec("\n".join(lines), namespace)
-        return params, namespace["scan"], namespace["slab_of"]
+        return params, tables, namespace["scan"], namespace["slab_of"]
 
     @cached_property
     def _probe(self):
@@ -311,9 +330,7 @@ class Identity:
             if isinstance(s.targets[0], ast.Tuple):
                 raise ValueError(f"cannot probe `{ast.unparse(s)}` in {self.body.strip()!r}: "
                                  "probes read tables of single values, not pairs")
-        params = self._compiled[0]
-        tables = {x.func.id for x in ast.walk(tree) if isinstance(x, ast.Call)}
-        tables |= {x.value.id for x in ast.walk(tree) if isinstance(x, ast.Subscript)}
+        params, tables = self._compiled[:2]
         level = dict.fromkeys(_names(tree), 2)
         level.update({p: 0 for p in params if p not in tables})
         level.update(dict.fromkeys(self.variables, 1))
@@ -342,8 +359,8 @@ class Identity:
 
 def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
     """Evaluate `ident` exhaustively; a failure carries the first witness and
-    `label`.  `env` supplies every table (a FlatTable, a flat tuple or an
-    int32 array), size and constant the declaration names, `n` included."""
+    `label`.  `env` supplies every table (an int32 array or a flat
+    sequence), size and constant the declaration names, `n` included."""
     witness = _first_failure(ident, env)
     return PASS if witness is None else CheckResult(False, witness, label)
 
@@ -368,7 +385,7 @@ def _first_failure(ident: Identity, env: dict) -> tuple[int, ...] | None:
 
 
 def _loop_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
-    return ident._compiled[1](env)
+    return ident._compiled[2](env)
 
 
 @cache
@@ -380,18 +397,9 @@ def _axes(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return axes
 
 
-def _slab_table(x):
-    """A table as slabs read it: arrays as they are, sequences as int32."""
-    if type(x) is FlatTable:
-        return x.array
-    if isinstance(x, (tuple, list)):
-        return np.array(x, dtype=np.int32)
-    return x
-
-
 def _slab_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
-    params, _, slab_of = ident._compiled
-    slab = slab_of(*(_slab_table(env[p]) for p in params))
+    params, _, _, slab_of = ident._compiled
+    slab = slab_of(*(env[p] for p in params))
     sizes = tuple(env[s] for s in ident.sizes)
     fixed, step = _cut(sizes)
     axes = _axes(sizes[fixed:])

@@ -87,15 +87,14 @@ def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
         raise ValueError("order must be >= 1")
     if n > MAX_LEFT_QUASIGROUP_ORDER:
         raise OrderTooLarge(f"(n!)^n growth; refusing n = {n}")
-    perms = list(permutations(range(n)))
-    inverses = {}
-    for perm in perms:
-        back = [0] * n
-        for v, w in enumerate(perm):
-            back[w] = v
-        inverses[perm] = tuple(back)
-    for rows in product(perms, repeat=n):
-        yield LeftQuasigroup(BinaryTable(rows), tuple(inverses[row] for row in rows))
+    perms, inverses = _permutations(n)
+    # the n! tables that share their first n - 1 rows, gathered at once
+    rows = np.empty((len(perms), n), np.intp)
+    rows[:, -1] = np.arange(len(perms))
+    for prefix in product(range(len(perms)), repeat=n - 1):
+        rows[:, :-1] = prefix
+        for mul, div in zip(perms[rows], inverses[rows]):
+            yield LeftQuasigroup._of(BinaryTable._of(mul), div)
 
 
 def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
@@ -104,22 +103,29 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
         raise ValueError("order must be >= 1")
     if n > MAX_QUASIGROUP_ORDER:
         raise OrderTooLarge(f"Latin square growth; refusing n = {n}")
-    perms = list(permutations(range(n)))
+    perms, inverses = _permutations(n)
     # Bit c*n + v of a mask: the row puts value v in column c.
-    masks = [sum(1 << c * n + v for c, v in enumerate(perm)) for perm in perms]
-    rows: list[tuple[int, ...]] = []
+    masks = [sum(1 << c * n + v for c, v in enumerate(perm)) for perm in perms.tolist()]
+    rows: list[int] = []
 
     def walk(used: int) -> Iterator[LeftQuasigroup]:
         if len(rows) == n:
-            yield validate_left_quasigroup(BinaryTable(tuple(rows)))
+            yield LeftQuasigroup._of(BinaryTable._of(perms.take(rows, 0)), inverses.take(rows, 0))
             return
-        for perm, mask in zip(perms, masks):
+        for perm, mask in enumerate(masks):
             if not mask & used:
                 rows.append(perm)
                 yield from walk(used | mask)
                 rows.pop()
 
     yield from walk(0)
+
+
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n! permutations of 0..n-1 in lexicographic order, as int32 rows,
+    and their inverses."""
+    perms = np.array(list(permutations(range(n))), np.int32)
+    return perms, perms.argsort(axis=1).astype(np.int32)
 
 
 def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
@@ -192,12 +198,12 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
                 cell += 1
                 yield None
             else:
-                yield TernaryTable(n, tuple(tab))
+                yield TernaryTable._of(n, np.array(tab, np.int32))
 
 
 def _all_ternary_tables(n: int) -> Iterator[TernaryTable]:
     """All n^(n^3) ternary tables of order n, in lexicographic order."""
-    return (TernaryTable(n, flat) for flat in product(range(n), repeat=n**3))
+    return (TernaryTable._of(n, np.array(flat, np.int32)) for flat in product(range(n), repeat=n**3))
 
 
 def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso) -> SearchReport:
@@ -309,7 +315,7 @@ def _classify_up_to_iso(report: SearchReport) -> None:
         forms = forms[np.lexsort(forms.T[::-1])]
         distinct = np.ones(len(forms), bool)
         distinct[1:] = (forms[1:] != forms[:-1]).any(axis=1)
-        report.representatives = [_like(tables[0], row.tolist()) for row in forms[distinct]]
+        report.representatives = [_like(tables[0], row) for row in forms[distinct]]
     report.up_to_iso = len(report.representatives)
 
 
@@ -325,7 +331,7 @@ def canonicalize(x):
     """
     n, axes = _shape(x)
     forms, auts = _least_forms(_stack([x], n, axes), n, axes)
-    return _like(x, forms[0].tolist()), int(auts[0])
+    return _like(x, forms[0]), int(auts[0])
 
 
 def _shape(x) -> tuple[int, int]:
@@ -344,20 +350,15 @@ def _shape(x) -> tuple[int, int]:
 def _stack(tables, n: int, axes: int) -> np.ndarray:
     """Tables of one kind and order as a (tables, n^axes) uint8 array, each
     row the entries in row-major order."""
-    if axes == 3:
-        entries = chain.from_iterable(t.table for t in tables)
-    else:
-        entries = chain.from_iterable(chain.from_iterable(t.rows) for t in tables)
-    size = n**axes
-    return np.fromiter(entries, np.uint8, len(tables) * size).reshape(len(tables), size)
+    return np.array([t.array for t in tables], np.uint8).reshape(len(tables), n**axes)
 
 
-def _like(x, flat: list):
-    """The table of x's kind whose entries, in row-major order, are `flat`."""
+def _like(x, entries: np.ndarray):
+    """The table of x's kind whose entries, in row-major order, are `entries`."""
+    n, table = x.order, entries.astype(np.int32)
     if isinstance(x, TernaryTable):
-        return TernaryTable(x.order, tuple(flat))
-    n = x.order
-    canon = BinaryTable(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
+        return TernaryTable._of(n, table)
+    canon = BinaryTable._of(table.reshape(n, n))
     return validate_left_quasigroup(canon) if isinstance(x, LeftQuasigroup) else canon
 
 

@@ -33,12 +33,12 @@ def to_jsonable(obj) -> dict:
         return {
             "kind": "binary",
             "order": obj.order,
-            "table": [list(row) for row in obj.rows],
+            "table": obj.array.tolist(),
         }
     if isinstance(obj, Bijection):
         return {"kind": "bijection", "order": obj.order, "map": list(obj.map)}
     if isinstance(obj, TernaryTable):
-        return {"kind": "ternary", "order": obj.order, "table": list(obj.table)}
+        return {"kind": "ternary", "order": obj.order, "table": obj.array.tolist()}
     if isinstance(obj, DynamicalMap):
         return {
             "kind": "dynmap",

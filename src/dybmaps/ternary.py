@@ -8,14 +8,14 @@ dynamical Yang-Baxter map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .binary import Bijection, LeftQuasigroup, check_binary_condition
 from .errors import IdempotenceRequired, PreconditionFailed
-from .kernel import FlatTable, Identity, check, in_range
+from .kernel import Arrays, Identity, check, in_range, integer
 from .result import CheckResult
 
 #: Identities checkable on a ternary table mu(a, b, c), witnesses in variable
@@ -47,49 +47,59 @@ _HOM = Identity("a b c", "h(mu(a, b, c)) == mu2[(h(a) * m + h(b)) * m + h(c)]")
 MU_G_PRECONDITIONS = {1: ("LQ1",), 2: ("LQ1",), 3: ("LQ22", "LQ21")}
 
 
-@dataclass(frozen=True)
-class TernaryTable:
-    """An n^3 operation table, flat, row-major in (a, b, c)."""
+class TernaryTable(Arrays):
+    """An n^3 operation table, flat, row-major in (a, b, c).
 
-    order: int
-    table: tuple[int, ...]
+    The table is one read-only int32 array of its n^3 entries, `array`;
+    `table` is the same as a tuple, made anew on each use.
+    `TernaryTable(n, table)` checks the length and range of a flat sequence,
+    and stores an entry that passes its range test without being an int
+    (True, 0.5) as int32 does.
+    """
 
-    def __post_init__(self):
-        n = self.order
+    __slots__ = ("order", "array")
+    _arrays = ("array",)
+
+    def __init__(self, order: int, table):
+        n = order
         if n < 1:
             raise ValueError("order must be >= 1")
-        if len(self.table) != n**3:
-            raise ValueError(f"table length {len(self.table)}, expected {n**3}")
-        if not in_range(self.table, n):
-            for i, x in enumerate(self.table):
+        if len(table) != n**3:
+            raise ValueError(f"table length {len(table)}, expected {n**3}")
+        if not in_range(table, n):
+            for i, x in enumerate(table):
                 if not 0 <= x < n:
                     raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
+        self._bind(n, np.array(table, np.int32))
+
+    def _bind(self, n: int, array: np.ndarray) -> None:
+        array.setflags(write=False)
+        self.order, self.array = n, array
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int, int], int]) -> TernaryTable:
-        flat = tuple(
-            int(fn(a, b, c)) for a, b, c in product(range(n), repeat=3)
-        )
-        return cls(n, flat)
+        return cls.from_flat(n, (fn(a, b, c) for a, b, c in product(range(n), repeat=3)))
 
     @classmethod
     def from_flat(cls, n: int, entries) -> TernaryTable:
-        return cls(n, tuple(int(x) for x in entries))
+        """The table of a flat sequence of integers (ValueError for any other
+        entry, a float or a string included)."""
+        return cls(n, tuple(map(integer, entries)))
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def mu(self, a: int, b: int, c: int) -> int:
         n = self.order
-        return self.table[(a * n + b) * n + c]
-
-    @cached_property
-    def flat(self) -> FlatTable:
-        return FlatTable(self.table)
+        return int(self.array[(a * n + b) * n + c])
 
 
 def check_ternary_condition(M: TernaryTable, cond: str) -> CheckResult:
     """Exhaustively test one of TERNARY_CONDITIONS; witness is lexicographically first."""
     if cond not in _TERNARY:
         raise ValueError(f"unknown ternary condition {cond!r}")
-    return check(_TERNARY[cond], cond, n=M.order, mu=M.flat)
+    return check(_TERNARY[cond], cond, n=M.order, mu=M.array)
 
 
 def satisfies_m1m2(M: TernaryTable) -> bool:
@@ -112,16 +122,14 @@ def make_mu_g(G: LeftQuasigroup, variant: int, checked: bool = True) -> TernaryT
     if checked:
         for cond in MU_G_PRECONDITIONS[variant]:
             check_binary_condition(G, cond).require(PreconditionFailed)
-    mul = G.rows
-    ld = G.ldiv
-    n = G.order
-    if variant == 1:
-        fn = lambda a, b, c: mul[a][ld[b][c]]
-    elif variant == 2:
-        fn = lambda a, b, c: mul[c][ld[b][a]]
-    else:
-        fn = lambda a, b, c: mul[b][ld[a][c]]
-    return TernaryTable.from_function(n, fn)
+    mul, ld = G.array, G.division
+    if variant == 1:  # mul[a, ld[b, c]]
+        table = mul.take(ld, axis=1)
+    elif variant == 2:  # mul[c, ld[b, a]]
+        table = mul.T.take(ld.T, axis=0)
+    else:  # mul[b, ld[a, c]]
+        table = np.ascontiguousarray(mul.take(ld, axis=1).transpose(1, 0, 2))
+    return TernaryTable._of(G.order, table.reshape(-1))
 
 
 def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
@@ -129,21 +137,22 @@ def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
 
     The middle position requires f to be idempotent (f(f(x)) = f(x)).
     """
-    fm = tuple(int(x) for x in f)
+    fm = tuple(map(integer, f))
     if len(fm) != n or any(not 0 <= x < n for x in fm):
         raise ValueError("f must map 0..n-1 into 0..n-1")
+    image = np.array(fm, np.int32)
     if position == "first":
-        fn = lambda a, b, c: fm[a]
+        table = image.repeat(n * n)
     elif position == "third":
-        fn = lambda a, b, c: fm[c]
+        table = np.tile(image, n * n)
     elif position == "middle":
         for x in range(n):
             if fm[fm[x]] != fm[x]:
                 raise IdempotenceRequired(f"f(f({x})) = {fm[fm[x]]} != f({x}) = {fm[x]}")
-        fn = lambda a, b, c: fm[b]
+        table = np.tile(image.repeat(n), n)
     else:
         raise ValueError(f"position must be first, middle or third, got {position!r}")
-    return TernaryTable.from_function(n, fn)
+    return TernaryTable._of(n, table)
 
 
 def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
@@ -152,14 +161,11 @@ def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
         for cond in ("M1", "M2"):
             check_ternary_condition(M, cond).require(PreconditionFailed)
     n1, n2 = M1.order, M2.order
-
-    def fn(a, b, c):
-        a1, a2 = divmod(a, n2)
-        b1, b2 = divmod(b, n2)
-        c1, c2 = divmod(c, n2)
-        return M1.mu(a1, b1, c1) * n2 + M2.mu(a2, b2, c2)
-
-    return TernaryTable.from_function(n1 * n2, fn)
+    # axes (a1, a2, b1, b2, c1, c2), so C order reads ((a*n + b)*n + c)
+    # with a = a1*n2 + a2 and likewise b, c
+    mu1 = M1.array.reshape(n1, 1, n1, 1, n1, 1)
+    mu2 = M2.array.reshape(1, n2, 1, n2, 1, n2)
+    return TernaryTable._of(n1 * n2, (mu1 * n2 + mu2).reshape(-1))
 
 
 def is_ternary_hom(h, M: TernaryTable, M2: TernaryTable) -> CheckResult:
@@ -167,12 +173,12 @@ def is_ternary_hom(h, M: TernaryTable, M2: TernaryTable) -> CheckResult:
 
     `h` may be a Bijection or any sequence mapping M's carrier into M2's.
     """
-    hm = tuple(h.map) if isinstance(h, Bijection) else tuple(int(x) for x in h)
+    hm = tuple(h.map) if isinstance(h, Bijection) else tuple(map(integer, h))
     if len(hm) != M.order:
         raise ValueError("h must be total on the source carrier")
     if any(not 0 <= x < M2.order for x in hm):
         raise ValueError("h must land in the target carrier")
-    return check(_HOM, n=M.order, m=M2.order, h=hm, mu=M.flat, mu2=M2.flat)
+    return check(_HOM, n=M.order, m=M2.order, h=hm, mu=M.array, mu2=M2.array)
 
 
 def point_maps(M: TernaryTable, a: int):
@@ -197,4 +203,4 @@ def braid_check(M: TernaryTable) -> CheckResult:
     Equivalent to M1 and M2 together; the two sides differ exactly in the
     first two slots, which reproduce the M1 and M2 instances at (a,x,y,z).
     """
-    return check(_BRAID, n=M.order, mu=M.flat)
+    return check(_BRAID, n=M.order, mu=M.array)

@@ -3,10 +3,11 @@
     PYTHONPATH=src python tests/scale_pipeline.py 64
     PYTHONPATH=src python tests/scale_pipeline.py 100
 
-For each order it takes Z/n with its variant-1 ternary table and the
-identity bijection through `make_mu_g`, the `M1` and `M2` checks that
-`build_dyb` makes, the build itself, the seven map checks, `extract_mu_L`
-and a JSON round trip.  It prints the wall seconds of each stage, its user
+For each order it takes Z/n through `validate_left_quasigroup` and
+`classify_structure`, then with its variant-1 ternary table and the
+identity bijection through `make_mu_g`, a JSON round trip of that table,
+the `M1` and `M2` checks that `build_dyb` makes, the build itself, the
+seven map checks, `extract_mu_L` and a JSON round trip of the map.  It prints the wall seconds of each stage, its user
 and system CPU seconds (`ru_utime`, `ru_stime`), so time the operating
 system spends for the process, such as page faults, shows, and the peak
 resident memory (`ru_maxrss`) after it, so the stage that sets the peak
@@ -29,6 +30,7 @@ from dybmaps import (
     Triple,
     build_dyb,
     check_D_class,
+    classify_structure,
     extract_mu_L,
     make_mu_g,
     satisfies_m1m2,
@@ -57,8 +59,12 @@ def pipeline(n: int) -> list[tuple[str, float, float, float, float]]:
         times.append((name, wall, r1.ru_utime - r0.ru_utime, r1.ru_stime - r0.ru_stime, peak_mb()))
         return out
 
-    G = validate_left_quasigroup(BinaryTable.from_rows([[(u + v) % n for v in range(n)] for u in range(n)]))
+    T = BinaryTable.from_rows([[(u + v) % n for v in range(n)] for u in range(n)])
+    G, flags = stage("validate+classify", lambda: (validate_left_quasigroup(T), classify_structure(T)))
+    assert flags.is_group
     M = stage("make_mu_g", lambda: make_mu_g(G, 1))
+    text = stage("M json dumps", lambda: serialize.dumps(M))
+    assert stage("M json loads", lambda: serialize.loads(text)) == M
     assert stage("M1+M2", lambda: satisfies_m1m2(M))
     R = stage("build_dyb", lambda: build_dyb(Triple(G, M, Bijection.identity(n)), checked=False))
     checks = {"qdybe": verify_qdybe, "braid": verify_braiding, "invariance": verify_invariance,
@@ -67,8 +73,8 @@ def pipeline(n: int) -> list[tuple[str, float, float, float, float]]:
     for name, check in checks.items():
         assert stage(name, lambda: check(R)), name
     assert stage("extract_mu_L", lambda: extract_mu_L(R)) == M
-    text = stage("json dumps", lambda: serialize.dumps(R))
-    assert stage("json loads", lambda: serialize.loads(text)) == R
+    text = stage("R json dumps", lambda: serialize.dumps(R))
+    assert stage("R json loads", lambda: serialize.loads(text)) == R
     return times
 
 
@@ -78,9 +84,9 @@ def main(argv: list[str]) -> None:
         wall, user, system = (sum(row[i] for row in times) for i in (1, 2, 3))
         print(f"Z/{n}: total {wall:.2f} s (user {user:.2f} s, system {system:.2f} s), "
               f"peak RSS {peak_mb():.0f} MB")
-        print(f"  {'stage':14s} {'wall':>8s}   {'user':>7s}   {'system':>7s}   {'peak':>5s}")
+        print(f"  {'stage':17s} {'wall':>8s}   {'user':>7s}   {'system':>7s}   {'peak':>5s}")
         for name, t, u, s, peak in times:
-            print(f"  {name:14s} {t:8.3f} s {u:7.3f} s {s:7.3f} s {peak:5.0f} MB")
+            print(f"  {name:17s} {t:8.3f} s {u:7.3f} s {s:7.3f} s {peak:5.0f} MB")
 
 
 if __name__ == "__main__":

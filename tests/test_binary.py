@@ -1,5 +1,7 @@
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 from conftest import GROUPS_LE6, TABLE1, cyclic, klein, lq, s3, shift
 
@@ -147,3 +149,20 @@ def test_lq22_lq21_without_group_or_distributivity_exists():
     for L in found:
         assert check_binary_condition(L, "LQ22")
         assert check_binary_condition(L, "LQ21")
+
+
+# --- The API constructors read entries as integers, never by int() ----------
+
+def test_from_rows_reads_integers_only():
+    assert BinaryTable.from_rows([[np.int64(0), True], [np.int32(1), False]]).rows == ((0, 1), (1, 0))
+    for bad, shown in ((1.9, "1.9"), ("1", "'1'"), (np.float64(0.0), repr(np.float64(0.0)))):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {shown}")):
+            BinaryTable.from_rows([[0, bad], [1, 0]])
+
+
+def test_bijection_make_reads_integers_only():
+    assert Bijection.make([np.int64(1), False]).map == (1, 0)
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.9")):
+        Bijection.make([1.9, "0"])
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '0'")):
+        Bijection.make([1, "0"])

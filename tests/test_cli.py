@@ -6,7 +6,9 @@ from conftest import TABLE1, s3, shift
 
 from dybmaps import (
     Bijection,
+    BinaryTable,
     DynamicalMap,
+    LeftQuasigroup,
     TernaryTable,
     Triple,
     build_dyb,
@@ -166,26 +168,37 @@ def test_malformed_map_is_refused_by_the_constructor_and_verify(capsys, tmp_path
         assert run(capsys, "verify", "--check", check, str(p)) == (2, "", f"error: {message}\n")
 
 
+#: The nested-tuple views of maps and tables, which no command should build.
+TUPLE_VIEWS = ((DynamicalMap, "r"), (DynamicalMap, "phi"), (TernaryTable, "table"),
+               (BinaryTable, "rows"), (LeftQuasigroup, "ldiv"))
+
+
 def test_check_paths_build_no_tuple_view(capsys, files, tmp_path, monkeypatch):
     def no_view(self):
-        raise AssertionError("a nested-tuple view of a map was built")
+        raise AssertionError(f"a nested-tuple view of a {type(self).__name__} was built")
 
-    for name in ("r", "phi"):
-        monkeypatch.setattr(DynamicalMap, name, property(no_view))
+    def guard():
+        for cls, name in TUPLE_VIEWS:
+            monkeypatch.setattr(cls, name, property(no_view))
+
+    guard()
     for L, M, pi in (("t1", "mu1", "id3"), ("s3", "mu1s3", "id6")):
+        for command in ("validate", "classify"):
+            assert run(capsys, command, files[L])[0] == 0
         out_file = tmp_path / f"R-{L}.json"
-        code, _, _ = run(capsys, "build", "--L", files[L], "--M", files[M], "--pi", files[pi],
-                         "-o", str(out_file))
-        assert code == 0
+        triple = ("--L", files[L], "--M", files[M], "--pi", files[pi])
+        for unchecked in ((), ("--unchecked",)):
+            code, _, _ = run(capsys, "build", *triple, *unchecked, "-o", str(out_file))
+            assert code == 0
         for check in VERIFY_CHECKS:
             assert run(capsys, "verify", "--check", check, str(out_file))[0] in (0, 1)
         assert run(capsys, "extract", str(out_file))[0] == 0
+        assert run(capsys, "reconstruct", "--class", "a1", *triple)[0] == 0
         monkeypatch.undo()
         R = serialize.load(out_file)
         extract_mu_L(R)
         assert not {"r", "phi"} & set(vars(R))
-        for name in ("r", "phi"):
-            monkeypatch.setattr(DynamicalMap, name, property(no_view))
+        guard()
 
 
 def test_verify_failure_reports_counterexample(capsys, files, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -53,7 +54,7 @@ from dybmaps import (
     verify_unitary,
 )
 from dybmaps import engine, kernel, serialize
-from dybmaps.kernel import Identity, check, flatten
+from dybmaps.kernel import Identity, check
 
 ID3 = Bijection.identity(3)
 
@@ -395,7 +396,7 @@ def factorisation_verdicts(t):
     """(pair identity, triple-leg identity) on the map of t, as
     conjugation_selfcheck reads it."""
     R = engine.build_dyb(t, checked=False)
-    env = R._tables | {"mul": flatten(t.L.rows), "ld": flatten(t.L.ldiv), "mu": t.M.flat,
+    env = R._tables | {"mul": t.L.array.reshape(-1), "ld": t.L.division.reshape(-1), "mu": t.M.array,
                       "p": t.pi.map, "q": t.pi.inverse}
     return check(engine._PAIR_FACTORISATION, **env).holds, check(TRIPLE_FACTORISATION, **env).holds
 
@@ -452,7 +453,7 @@ def test_selfcheck_fails_on_the_pair_identity_when_a_build_is_wrong(monkeypatch)
     monkeypatch.setattr(engine, "build_dyb", one_pair_changed)
     pair, triple = factorisation_verdicts(t)
     assert (pair, triple) == (False, False)
-    assert check(engine._LEFT_DIVISION, n=3, mul=flatten(t.L.rows), ld=flatten(t.L.ldiv))
+    assert check(engine._LEFT_DIVISION, n=3, mul=t.L.array.reshape(-1), ld=t.L.division.reshape(-1))
     assert conjugation_selfcheck(t) is False
 
 
@@ -497,3 +498,12 @@ def test_theta_path_input_guards():
         build_theta_dyb(cyclic(4), klein(), Bijection.make((1, 0, 2, 3)))
     with pytest.raises(OrderMismatch):
         build_theta_dyb(cyclic(2), klein(), Bijection.identity(2))
+
+
+def test_is_D_morphism_reads_integers_only():
+    V = (cyclic(2), build_dyb(Triple(cyclic(2), make_mu_g(cyclic(2), 1), Bijection.identity(2))))
+    assert is_D_morphism([np.int64(0), True], V, V)
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 0.3")):
+        is_D_morphism([0.3, 1.7], V, V)
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '1'")):
+        is_D_morphism([0, "1"], V, V)

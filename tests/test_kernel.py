@@ -4,6 +4,7 @@ import dataclasses
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from conftest import cyclic, lq
 
@@ -35,7 +36,7 @@ from dybmaps import (
 )
 from dybmaps import binary, correspondence, engine, kernel, ternary
 from dybmaps.engine import DynamicalMap
-from dybmaps.kernel import FlatTable, Identity
+from dybmaps.kernel import Identity
 
 
 def declared_identities() -> set:
@@ -178,7 +179,7 @@ def test_planted_witnesses_come_out_lexicographically_first():
         t = [0] * n**4
         for a, b, c, d in planted:
             t[((a * n + b) * n + c) * n + d] = 1
-        env = {"n": n, "t": FlatTable(t)}
+        env = {"n": n, "t": np.array(t, np.int32)}
         assert kernel._slab_first(cell, env) == min(planted)
         assert kernel._loop_first(cell, env) == min(planted)
         assert kernel.check(cell, "cell", **env).witness == min(planted)

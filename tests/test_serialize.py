@@ -1,11 +1,22 @@
 import json
+import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
-from conftest import TABLE1, corpus_triples, cyclic
+from conftest import TABLE1, corpus_triples, cyclic, lq
 
-from dybmaps import Bijection, Triple, build_dyb, make_mu_g
+from dybmaps import (
+    Bijection,
+    BinaryTable,
+    LeftQuasigroup,
+    TernaryTable,
+    Triple,
+    build_dyb,
+    make_mu_g,
+    validate_left_quasigroup,
+)
 from dybmaps import serialize
 from dybmaps.engine import DynamicalMap
 from dybmaps.errors import AlgebraError
@@ -329,3 +340,37 @@ def test_deeply_nested_document_is_a_value_error():
     for text in ("[" * 100000, '{"kind":' * 100000):
         with pytest.raises(ValueError, match="^document nested too deeply: "):
             serialize.loads(text)
+
+
+# --- Tables are values: equal, hashed and written by content ----------------
+
+def value_tables(n):
+    """A seeded binary table, left quasigroup and ternary table of order n,
+    each made twice from the same entries."""
+    rng = random.Random(f"values/{n}")
+    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    perms = [rng.sample(range(n), n) for _ in range(n)]
+    flat = [rng.randrange(n) for _ in range(n**3)]
+    return [(BinaryTable.from_rows(rows), BinaryTable(tuple(map(tuple, rows)))),
+            (lq(perms), validate_left_quasigroup(BinaryTable(np.array(perms)))),
+            (TernaryTable.from_flat(n, flat), TernaryTable(n, np.array(flat, np.int64)))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tables_are_values(n):
+    for x, y in value_tables(n):
+        assert x is not y and x == y and hash(x) == hash(y)
+        arrays = [x.array] + ([x.division] if isinstance(x, LeftQuasigroup) else [])
+        for a in arrays:
+            assert a.dtype == np.int32 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+        if isinstance(x, TernaryTable):
+            assert TernaryTable(n, x.table) == x
+            assert x != TernaryTable(n, x.table[1:] + x.table[:1]) or len(set(x.table)) == 1
+        else:
+            assert BinaryTable(x.rows) == (x.base if isinstance(x, LeftQuasigroup) else x)
+            if isinstance(x, LeftQuasigroup):
+                assert LeftQuasigroup(x.base, x.ldiv) == x
+        assert serialize.loads(serialize.dumps(x)) == (x.base if isinstance(x, LeftQuasigroup) else x)
+    assert len({x for x, _ in value_tables(n)} | {y for _, y in value_tables(n)}) == 3

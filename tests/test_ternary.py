@@ -1,5 +1,7 @@
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 from conftest import NON_M1M2_FLAT, TABLE1, cyclic, klein, shift
 
@@ -193,3 +195,36 @@ def test_table_shape_validation():
         TernaryTable.from_flat(2, [0] * 7)
     with pytest.raises(ValueError):
         TernaryTable.from_flat(2, [0] * 7 + [2])
+
+
+# --- The API constructors read entries as integers, never by int() ----------
+
+def test_from_flat_reads_integers_only():
+    assert TernaryTable.from_flat(2, [np.int64(1), True] + [0] * 6).table == (1, 1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 0.7")):
+        TernaryTable.from_flat(2, [0.7] * 7 + ["1"])
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '1'")):
+        TernaryTable.from_flat(2, [0] * 7 + ["1"])
+
+
+def test_from_function_reads_integers_only():
+    assert TernaryTable.from_function(2, lambda a, b, c: np.int32(a)) == make_constant_mu(2, [0, 1], "first")
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.0")):
+        TernaryTable.from_function(2, lambda a, b, c: a if c == 0 else float(c))
+
+
+def test_make_constant_mu_reads_integers_only():
+    assert make_constant_mu(2, [np.int64(1), True], "middle").table == (1,) * 8
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.5")):
+        make_constant_mu(2, [0, 1.5], "first")
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '1'")):
+        make_constant_mu(2, [0, "1"], "third")
+
+
+def test_is_ternary_hom_reads_integers_only():
+    M = make_constant_mu(2, [0, 1], "first")
+    assert is_ternary_hom([np.int64(1), False], M, M)
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 0.3")):
+        is_ternary_hom([0.3, 1.7], M, M)
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '0'")):
+        is_ternary_hom([1, "0"], M, M)
