@@ -21,8 +21,10 @@ Rows = tuple[tuple[int, ...], ...]
 #: Identities checkable on a left quasigroup, as lookups mul(u, v) = u*v and
 #: ld(u, w) = u\w, the left division; witnesses in variable order.
 _BINARY = {
-    # (a*c)\((a*b)*c) is independent of a
-    "LQ1": Identity("a a2 b c", "ld(mul(a, c), mul(mul(a, b), c)) == ld(mul(a2, c), mul(mul(a2, b), c))"),
+    # (a*c)\((a*b)*c) is independent of a.  Where it is not, it differs
+    # from its value at a = 0 for some a2, so the first failing (a, a2, b, c)
+    # over all a has a = 0: a:1 gives the same verdict and witness in n^3.
+    "LQ1": Identity("a:1 a2 b c", "ld(mul(a, c), mul(mul(a, b), c)) == ld(mul(a2, c), mul(mul(a2, b), c))"),
     "LQ22": Identity("a b c d", """
         bc, ac = mul(b, c), mul(a, c)
         mul(bc, ld(a, mul(ac, ld(bc, mul(b, d))))) == mul(b, ld(a, mul(ac, d)))

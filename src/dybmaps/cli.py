@@ -9,21 +9,17 @@ order mismatch or precondition failure.  Reports are JSON on stdout with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import cache
 from pathlib import Path
 
 from . import serialize
-from .binary import (
-    BinaryTable,
-    Bijection,
-    StructureFlags,
-    classify_structure,
-    validate_left_quasigroup,
-)
+from .binary import BinaryTable, Bijection, classify_structure, validate_left_quasigroup
 from .correspondence import build_correspondence, is_constant_in_lambda, verify_irf_irf
 from .engine import (
+    D_CLASSES,
     DynamicalMap,
     Triple,
     build_dyb,
@@ -39,7 +35,17 @@ from .errors import AlgebraError
 from .search import census_theorem31, search_structures
 from .ternary import TernaryTable
 
-VERIFY_CHECKS = ("qdybe", "braid", "invariance", "unitary", "d1", "d2", "d3")
+#: What `verify --check` runs, by the name it takes.  Each entry looks its
+#: function up when it is called, so a name rebound later (by a tracer or a
+#: test) is the one that runs.
+VERIFY = {
+    "qdybe": lambda R: verify_qdybe(R),
+    "braid": lambda R: verify_braiding(R),
+    "invariance": lambda R: verify_invariance(R),
+    "unitary": lambda R: verify_unitary(R),
+    **{c.lower(): lambda R, c=c: check_D_class(R, c) for c in D_CLASSES},
+}
+VERIFY_CHECKS = tuple(VERIFY)
 
 
 def _emit(doc, out: str | Path | None = None) -> None:
@@ -69,53 +75,31 @@ def _load_lq(path: str):
     return validate_left_quasigroup(_load_as(path, BinaryTable, "binary"))
 
 
-def _flags_doc(flags: StructureFlags) -> dict:
-    return {
-        "is_left_quasigroup": flags.is_left_quasigroup,
-        "is_quasigroup": flags.is_quasigroup,
-        "is_loop": flags.is_loop,
-        "is_group": flags.is_group,
-        "is_right_distributive": flags.is_right_distributive,
-        "identity": flags.identity,
-    }
-
-
-def _cmd_validate(args) -> int:
-    table = _load_as(args.file, BinaryTable, "binary")
-    validate_left_quasigroup(table)
-    _emit(_flags_doc(classify_structure(table)))
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    table = _load_as(args.file, BinaryTable, "binary")
-    _emit(_flags_doc(classify_structure(table)))
-    return 0
-
-
-def _cmd_build(args) -> int:
-    triple = Triple(
+def _load_triple(args) -> Triple:
+    return Triple(
         _load_lq(args.L),
         _load_as(args.M, TernaryTable, "ternary"),
         _load_as(args.pi, Bijection, "bijection"),
     )
-    R = build_dyb(triple, checked=not args.unchecked)
+
+
+def _cmd_classify(args) -> int:
+    """`classify`, and `validate`, which first requires a left quasigroup."""
+    table = _load_as(args.file, BinaryTable, "binary")
+    if args.command == "validate":
+        validate_left_quasigroup(table)
+    _emit(dataclasses.asdict(classify_structure(table)))
+    return 0
+
+
+def _cmd_build(args) -> int:
+    R = build_dyb(_load_triple(args), checked=not args.unchecked)
     _write(serialize.dumps(R), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    R = _load_as(args.file, DynamicalMap, "dynmap")
-    if args.check == "qdybe":
-        res = verify_qdybe(R)
-    elif args.check == "braid":
-        res = verify_braiding(R)
-    elif args.check == "invariance":
-        res = verify_invariance(R)
-    elif args.check == "unitary":
-        res = verify_unitary(R)
-    else:
-        res = check_D_class(R, args.check.upper())
+    res = VERIFY[args.check](_load_as(args.file, DynamicalMap, "dynmap"))
     doc = {
         "check": args.check,
         "holds": res.holds,
@@ -140,12 +124,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    triple = Triple(
-        _load_lq(args.L),
-        _load_as(args.M, TernaryTable, "ternary"),
-        _load_as(args.pi, Bijection, "bijection"),
-    )
-    G, pi_prime = reconstruct_G(triple, args.cls.upper(), args.basepoint)
+    G, pi_prime = reconstruct_G(_load_triple(args), args.cls.upper(), args.basepoint)
     _emit(
         {
             "class": args.cls,
@@ -246,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a table is a left quasigroup, print flags")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("classify", help="print structure flags for any table")
     p.add_argument("file")

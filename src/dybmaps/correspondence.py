@@ -122,14 +122,16 @@ def vertex_counterpart(
     u o v = pi^-1(pi(u) * pi(v)).  Over that structure the second output
     component collapses to the identity and the first loses its weight
     dependence, so the resulting map solves the ordinary Yang-Baxter
-    equation and is gauge-conjugate to the original.
+    equation and is gauge-conjugate to the original.  G must satisfy LQ1,
+    checked once: it is what makes variant 1 of G satisfy M1 and M2, so
+    neither `make_mu_g` nor `build_dyb` checks again.
     """
     if L.order != G.order or pi.order != L.order:
         raise OrderMismatch(f"orders differ: L={L.order}, G={G.order}, pi={pi.order}")
     check_binary_condition(G, "LQ1").require(LQ1Violation)
     p, q = np.array((pi.map, pi.inverse), np.int32)
     L_prime = validate_left_quasigroup(BinaryTable._of(q.take(G.array.take(p, 0).take(p, 1))))
-    R_prime = build_dyb(Triple(L_prime, make_mu_g(G, 1), pi))
+    R_prime = build_dyb(Triple(L_prime, make_mu_g(G, 1, checked=False), pi), checked=False)
     return L_prime, R_prime
 
 

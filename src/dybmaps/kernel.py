@@ -242,13 +242,14 @@ class Identity:
     `(x*n + y)*n + z`, and a table with another stride is subscripted
     explicitly.  `a, b = T(...)` unpacks an entry of a table of pairs, which
     is given as its two rows: a (2, N) array or two flat sequences.  A
-    variable `x` ranges over 0..n-1 and `x:h` over 0..h-1.
+    variable `x` ranges over 0..n-1 and `x:h` over 0..h-1, where h is a
+    name supplied with the tables or a number read literally.
     """
 
     def __init__(self, variables: str, body: str):
         specs = [v.partition(":") for v in variables.split()]
         self.variables = tuple(name for name, _, _ in specs)
-        self.sizes = tuple(size or "n" for _, _, size in specs)
+        self.sizes = tuple(int(size) if size.isdigit() else size or "n" for _, _, size in specs)
         self.body = body
 
     @cached_property
@@ -285,7 +286,8 @@ class Identity:
         for p in params:
             rows = f"({p}.tolist() if type({p}) is ndarray else {p})"
             lines.append(f"    {p} = _env[{p!r}]; {p} = {f'list(zip(*{rows}))' if p in paired else rows}")
-        lines += [f"    _r{i} = range(_env[{s!r}])" for i, s in enumerate(self.sizes)]
+        lines += [f"    _r{i} = range({s if type(s) is int else f'_env[{s!r}]'})"
+                  for i, s in enumerate(self.sizes)]
         lines += ["    " + s for s in placed[0]]
         for i, v in enumerate(self.variables, 1):
             lines += [f"{'    ' * i}for {v} in _r{i - 1}:", *("    " * (i + 1) + s for s in placed[i])]
@@ -378,8 +380,14 @@ def probe(ident: Identity, **env):
     return ident._probe(env)
 
 
+def _sizes(ident: Identity, env: dict):
+    """The sizes of `ident`'s variables, an iterator: a name is looked up in
+    `env`, and a number, which is no key of `env`, stands for itself."""
+    return map(env.get, ident.sizes, ident.sizes)
+
+
 def _first_failure(ident: Identity, env: dict) -> tuple[int, ...] | None:
-    if math.prod(map(env.__getitem__, ident.sizes)) < CROSSOVER:
+    if math.prod(_sizes(ident, env)) < CROSSOVER:
         return _loop_first(ident, env)
     return _slab_first(ident, env)
 
@@ -400,7 +408,7 @@ def _axes(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 def _slab_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
     params, _, _, slab_of = ident._compiled
     slab = slab_of(*(env[p] for p in params))
-    sizes = tuple(env[s] for s in ident.sizes)
+    sizes = tuple(_sizes(ident, env))
     fixed, step = _cut(sizes)
     axes = _axes(sizes[fixed:])
     for point in product(*map(range, sizes[:fixed])):

@@ -34,10 +34,9 @@ MAX_TERNARY_EXHAUSTIVE_ORDER = 2
 MAX_TERNARY_BACKTRACKING_ORDER = 3
 MAX_CANONICAL_ORDER = 8
 
-#: (table, relabeling) pairs refined together, and entries gathered at once
-#: (surviving pairs x cells); together they bound the temporaries of
-#: `canonicalize` and of classification (README).
-CANON_CHUNK = 5040
+#: Bounds the (table, relabeling) pairs refined together, whole tables at a
+#: time, and the entries gathered at once (surviving pairs x cells); so it
+#: bounds the temporaries of `canonicalize` and of classification (README).
 CANON_BLOCK = 8192
 
 
@@ -87,7 +86,7 @@ def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
         raise ValueError("order must be >= 1")
     if n > MAX_LEFT_QUASIGROUP_ORDER:
         raise OrderTooLarge(f"(n!)^n growth; refusing n = {n}")
-    perms, inverses = _permutations(n)
+    perms, inverses = (a[:, :n].astype(np.int32) for a in _relabelings(n)[:2])
     # the n! tables that share their first n - 1 rows, gathered at once
     rows = np.empty((len(perms), n), np.intp)
     rows[:, -1] = np.arange(len(perms))
@@ -103,7 +102,7 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
         raise ValueError("order must be >= 1")
     if n > MAX_QUASIGROUP_ORDER:
         raise OrderTooLarge(f"Latin square growth; refusing n = {n}")
-    perms, inverses = _permutations(n)
+    perms, inverses = (a[:, :n].astype(np.int32) for a in _relabelings(n)[:2])
     # Bit c*n + v of a mask: the row puts value v in column c.
     masks = [sum(1 << c * n + v for c, v in enumerate(perm)) for perm in perms.tolist()]
     rows: list[int] = []
@@ -119,13 +118,6 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
                 rows.pop()
 
     yield from walk(0)
-
-
-def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n! permutations of 0..n-1 in lexicographic order, as int32 rows,
-    and their inverses."""
-    perms = np.array(list(permutations(range(n))), np.int32)
-    return perms, perms.argsort(axis=1).astype(np.int32)
 
 
 def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
@@ -401,44 +393,35 @@ def _cells(n: int, axes: int) -> np.ndarray:
 
 
 def _least_forms(tables: np.ndarray, n: int, axes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical forms and automorphism counts of a stack of tables.
-
-    The (table, relabeling) pairs, table by table, are refined in chunks
-    of `CANON_CHUNK` pairs.  A table whose relabelings span several chunks
-    is merged as they finish: a smaller form replaces its best, and an
-    equal one adds its count.
-    """
+    """Canonical forms and automorphism counts of a stack of tables,
+    refined in chunks of max(1, `CANON_BLOCK` // n!) whole tables."""
     forms = np.empty_like(tables)
-    auts = np.zeros(len(tables), np.int64)
-    count = math.factorial(n)
-    pairs = len(tables) * count
-    for start in range(0, pairs, CANON_CHUNK):
-        pair = np.arange(start, min(pairs, start + CANON_CHUNK))
-        tab = pair // count
-        _refine(tables, n, axes, tab, pair - tab * count, forms, auts)
+    auts = np.empty(len(tables), np.int64)
+    step = max(1, CANON_BLOCK // math.factorial(n))
+    for start in range(0, len(tables), step):
+        chunk = slice(start, start + step)
+        forms[chunk], auts[chunk] = _refine(tables[chunk], n, axes)
     return forms, auts
 
 
-def _refine(tables, n, axes, tab, rel, forms, auts) -> None:
-    """Refine the pairs (table tab[p], relabeling rel[p]) of one chunk into
-    `forms` and `auts`.
+def _refine(tables, n, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Forms and automorphism counts of a chunk of tables, refined over all
+    their (table, relabeling) pairs.
 
-    `tab` is non-decreasing, so each table's pairs are one run, starting at
-    `heads`.  Per block, a pair survives only while its row equals the
-    least row of its own table.  Only the chunk's first table can have a
-    best form from an earlier chunk; its pairs are dropped as soon as a
-    block of their least row is above it.  A relabeling s takes entry
+    The pairs are taken table by table, so each table's pairs are one run,
+    starting at `heads`.  Per block, a pair survives only while its row
+    equals the least row of its own table.  A relabeling s takes entry
     T[i, j, k] to s[T[s^-1 i, s^-1 j, s^-1 k]].
     """
     perms, inverses, weights = _relabelings(n)
-    inverses = inverses.take(rel, 0)
+    tab = np.repeat(np.arange(len(tables)), len(perms))
+    rows = np.tile(np.arange(0, perms.size, perms.shape[1]), len(tables))  # each pair's start in perms.flat
+    inverses = np.tile(inverses, (len(tables), 1))
+    heads = _heads(tab)
     cells = _cells(n, axes)
+    forms = np.empty_like(tables)
     size = tables.shape[1]
     group = len(weights)
-    first = tab[0]
-    pending = auts[first] > 0
-    heads = _heads(tab)
-    rows = rel * perms.shape[1]  # where each relabeling starts in perms.flat
     start = 0
     while start < size:
         count = len(tab)
@@ -449,8 +432,8 @@ def _refine(tables, n, axes, tab, rel, forms, auts) -> None:
             index *= n
             index += inverses[:, axis]
         if len(heads) > 1:
-            index += (tab - tab[0])[:, None] * size
-        entries = tables[tab[0] :].reshape(-1)[index]
+            index += tab[:, None] * size
+        entries = tables.reshape(-1)[index]
         values = perms.reshape(-1)[entries + rows[:, None]]
         if count > len(heads):
             keep = np.ones(count, bool)
@@ -461,30 +444,16 @@ def _refine(tables, n, axes, tab, rel, forms, auts) -> None:
                     keep &= keys == keys[keep].min()
                 else:
                     least = np.minimum.reduceat(np.where(keep, keys, np.inf), heads)
-                    keep &= keys == least[tab - tab[0]]
+                    keep &= keys == least[tab]
             if not keep.all():
                 # compress, not a boolean index: far cheaper on short rows
                 tab, rows, inverses, values = (a.compress(keep, 0) for a in (tab, rows, inverses, values))
                 if len(heads) > 1:
                     heads = _heads(tab)
-        if pending:
-            ahead = forms[first, start:stop]
-            differ = np.flatnonzero(values[0] != ahead)
-            if differ.size:
-                pending = False
-                if values[0, differ[0]] > ahead[differ[0]]:
-                    if len(heads) == 1:
-                        return
-                    cut = heads[1]
-                    tab, rows, inverses, values = tab[cut:], rows[cut:], inverses[cut:], values[cut:]
-                    heads = heads[1:] - cut
-        # Every table from tab[0] to tab[-1] keeps at least one pair.
-        forms[tab[0] : tab[-1] + 1, start:stop] = values[heads]
+        # Every table keeps at least one pair.
+        forms[:, start:stop] = values[heads]
         start = stop
-    counts = np.bincount(tab - tab[0])
-    if pending:
-        counts[0] += auts[first]
-    auts[tab[0] : tab[-1] + 1] = counts
+    return forms, np.bincount(tab, minlength=len(tables))
 
 
 def _heads(tab: np.ndarray) -> np.ndarray:

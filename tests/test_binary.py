@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -16,6 +17,7 @@ from dybmaps import (
     enumerate_left_quasigroups,
     validate_left_quasigroup,
 )
+from dybmaps.kernel import Identity, check
 
 
 def test_table1_validates_with_expected_division():
@@ -116,6 +118,22 @@ def test_ex12_implies_lq1_at_order_3():
             hits += 1
             assert check_binary_condition(L, "LQ1")
     assert hits > 0
+
+
+#: LQ1 over every a, the n^4 form its declaration at a = 0 replaced.
+LQ1_EVERY_A = Identity("a a2 b c", "ld(mul(a, c), mul(mul(a, b), c)) == ld(mul(a2, c), mul(mul(a2, b), c))")
+
+
+def test_lq1_matches_its_form_over_every_a():
+    rng = random.Random("lq1")
+    tables = [*enumerate_left_quasigroups(3), *GROUPS_LE6.values(), shift(5), cyclic(7), cyclic(8)]
+    tables += [lq([rng.sample(range(n), n) for _ in range(n)]) for n in range(1, 9) for _ in range(25)]
+    failed = 0
+    for L in tables:
+        want = check(LQ1_EVERY_A, "LQ1", n=L.order, mul=L.array.reshape(-1), ld=L.division.reshape(-1))
+        assert check_binary_condition(L, "LQ1") == want
+        failed += not want
+    assert 0 < failed < len(tables)
 
 
 def test_projection_product_satisfies_lq1():

@@ -145,6 +145,31 @@ def test_vertex_counterpart_guard():
         vertex_counterpart(TABLE1, bad, ID3)
 
 
+def test_vertex_counterpart_checks_lq1_once_and_builds_unchecked(monkeypatch):
+    from conftest import GROUPS_LE6
+
+    from dybmaps import check_binary_condition, enumerate_left_quasigroups, satisfies_m1m2
+    from dybmaps import correspondence, engine, ternary
+
+    # The guarantee it relies on: variant 1 of every LQ1 table passes M1 and M2.
+    sample = [*enumerate_left_quasigroups(3), *GROUPS_LE6.values(), shift(4)]
+    lq1 = [G for G in sample if check_binary_condition(G, "LQ1")]
+    assert 0 < len(lq1) < len(sample)
+    for G in lq1:
+        assert satisfies_m1m2(make_mu_g(G, 1))
+        pi = Bijection.make([*range(1, G.order), 0])
+        Lp, Rp = vertex_counterpart(shift(G.order), G, pi)
+        assert Rp == build_dyb(Triple(Lp, make_mu_g(G, 1), pi))
+
+    calls = []
+    for mod, name in ((correspondence, "check_binary_condition"), (ternary, "check_binary_condition"),
+                      (engine, "check_ternary_condition")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda x, cond, real=real: calls.append(cond) or real(x, cond))
+    vertex_counterpart(TABLE1, TABLE1, ID3)
+    assert calls == ["LQ1"]
+
+
 def test_vertex_counterpart_from_bare_map():
     R = eq26_family(TABLE1)
     for basepoint in range(3):

@@ -484,18 +484,48 @@ def random_tables(rng, n):
     yield random_left_quasigroup(rng, n)
 
 
-# Chunk and block sizes far below the defaults split orders 3-6 into many
-# chunks and blocks, so ties and dropped chunks are met at every order.
-@pytest.mark.parametrize("chunk, block", [(None, None), (7, 5), (1, 1), (100, 2)])
-def test_canonicalize_matches_the_scan_on_random_tables(monkeypatch, chunk, block):
-    if chunk is not None:
-        monkeypatch.setattr(search, "CANON_CHUNK", chunk)
+# Block sizes far below the default split orders 3-6 into many blocks of
+# one or a few cells, so ties are met at every order.  The ids are the
+# names these cases have had since a chunk size was set beside the block;
+# they are kept so that each case stays traceable by name.
+@pytest.mark.parametrize("block", [
+    pytest.param(None, id="None-None"),
+    pytest.param(5, id="7-5"),
+    pytest.param(1, id="1-1"),
+    pytest.param(2, id="100-2"),
+])
+def test_canonicalize_matches_the_scan_on_random_tables(monkeypatch, block):
+    if block is not None:
         monkeypatch.setattr(search, "CANON_BLOCK", block)
-    rng = random.Random(f"canonical/{chunk}/{block}")
+    rng = random.Random(f"canonical/{block}")
     for n in range(1, 7):
         for _ in range(4 if n < 6 else 1):
             for x in random_tables(rng, n):
                 assert_canonical_as_reference(x)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_forms_and_automorphism_counts_do_not_depend_on_the_block(monkeypatch, n):
+    # The default holds several tables to a chunk up to order 6 (two chunks
+    # of these 14 at order 6); blocks 1 and 5 hold at most five, and one
+    # from order 3 on.
+    rng = random.Random(f"blocks/{n}")
+    drawn = [list(random_tables(rng, n)) for _ in range(6 if n < 7 else 1)]
+    # Each stack opens with a table that every relabeling fixes.
+    stacks = [
+        [make_constant_mu(n, range(n), "first"), make_mu_g(cyclic(n), 1), *(d[k] for d in drawn for k in (0, 1))],
+        [BinaryTable.from_rows([[u] * n for u in range(n)]), cyclic(n).base, *(d[k] for d in drawn for k in (2, 3))],
+    ]
+    for tables, axes in zip(stacks, (3, 2)):
+        stack = search._stack(tables, n, axes)
+        results = []
+        for block in (None, 1, 5):
+            if block is not None:
+                monkeypatch.setattr(search, "CANON_BLOCK", block)
+            forms, auts = search._least_forms(stack, n, axes)
+            results.append((forms.tolist(), auts.tolist()))
+        assert results[0] == results[1] == results[2]
+        assert results[0][1][0] == math.factorial(n)
 
 
 def test_canonicalize_constant_and_projection_tables():
@@ -507,7 +537,7 @@ def test_canonicalize_constant_and_projection_tables():
     assert_canonical_as_reference(make_constant_mu(7, range(7), "third"))
     # Order 8 in closed form: every relabeling fixes a projection, and the
     # constant table is fixed by the 7! relabelings that fix its value.
-    # The projection's tie spans every chunk of relabelings.
+    # The projection's tie keeps all 8! pairs to the end.
     projection = make_constant_mu(8, range(8), "first")
     assert canonicalize(projection) == (projection, math.factorial(8))
     constant = make_constant_mu(8, [5] * 8, "third")
@@ -517,7 +547,7 @@ def test_canonicalize_constant_and_projection_tables():
 def test_canonicalize_least_form_found_in_the_last_chunk():
     # Only x -> 7 - x takes `late` back to the canonical form it was made
     # from, whose automorphism group is trivial; it is the last relabeling
-    # of all, in the last chunk.
+    # of all, so the least form is reached by the last pair only.
     rng = random.Random("late")
     canon, aut = canonicalize(TernaryTable(8, tuple(rng.randrange(8) for _ in range(512))))
     late = relabel_ternary(canon, tuple(range(7, -1, -1)))
@@ -584,21 +614,25 @@ def reference_classes(forms):
     return list({cells(f): f for f in sorted(forms, key=cells)}.values())
 
 
-# The defaults, then chunk and block sizes far below them, so that one
-# chunk splits a table's relabelings and also holds several tables.  The
-# small sizes refine about one pair and one cell at a time, so they run on
-# a prefix of each search: at most `prefix` tables.  On 40 tables the
-# defaults take every cell in one block, and an order-3 ternary block then
-# spans two runs of entries read as one number.
-@pytest.mark.parametrize("chunk, block, prefix", [
-    (None, None, None), (None, None, 40), (7, 5, 300), (1, 1, 40), (100, 2, 1000),
+# The default block, then blocks far below it, which refine one or two
+# tables per chunk and about one cell at a time, so they run on a prefix
+# of each search: at most `prefix` tables.  On 40 tables the default takes
+# every cell in one block, and an order-3 ternary block then spans two runs
+# of entries read as one number.  The ids are the names these cases have
+# had since a chunk size was set beside the block; they are kept so that
+# each case stays traceable by name.
+@pytest.mark.parametrize("block, prefix", [
+    pytest.param(None, None, id="None-None-None"),
+    pytest.param(None, 40, id="None-None-40"),
+    pytest.param(5, 300, id="7-5-300"),
+    pytest.param(1, 40, id="1-1-40"),
+    pytest.param(2, 1000, id="100-2-1000"),
 ])
 @pytest.mark.parametrize("target, n, mode", CLASSIFIED)
-def test_classification_matches_per_table_reference(monkeypatch, target, n, mode, chunk, block, prefix):
+def test_classification_matches_per_table_reference(monkeypatch, target, n, mode, block, prefix):
     tables, want = classified_search(target, n, mode)
     tables, want = tables[:prefix], want[:prefix]
-    if chunk is not None:
-        monkeypatch.setattr(search, "CANON_CHUNK", chunk)
+    if block is not None:
         monkeypatch.setattr(search, "CANON_BLOCK", block)
     rep = search.SearchReport(target, n, mode, len(tables), 0.0, tables=tables)
     search._classify_up_to_iso(rep)
