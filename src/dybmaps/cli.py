@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_extract(args) -> int:
     R = _load_as(args.file, DynamicalMap, "dynmap")
-    _emit(serialize.to_jsonable(extract_mu_L(R)), args.output)
+    _write(serialize.dumps(extract_mu_L(R)), args.output)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Property tests of the JSON boundary with hypothesis: round trips, one-entry
-corruptions against the per-entry reference reader, the map codec against
-`json`, the CLI's exit-2 contract for malformed documents, and the table
-constructors' whole-table range checks against their entry loops.  Example
-counts are bounded and the examples derandomized, so that the suite stays
-fast and repeatable."""
+corruptions against the per-entry reference reader, the codec of maps and
+tables against `json`, the CLI's exit-2 contract for malformed documents,
+and the table constructors' whole-table range checks against their entry
+loops.  Example counts are bounded and the examples derandomized, so that
+the suite stays fast and repeatable."""
 
 import contextlib
 import io
@@ -11,11 +11,10 @@ import json
 
 import numpy as np
 import pytest
-from test_serialize import KINDS, _set, reference_rejection, rejection
+from test_serialize import KINDS, _set, read_as, reference_rejection, rejection
 
-from dybmaps import BinaryTable, DynamicalMap, TernaryTable, serialize
+from dybmaps import Bijection, BinaryTable, DynamicalMap, TernaryTable, serialize
 from dybmaps.cli import main
-from dybmaps.errors import AlgebraError
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -102,12 +101,29 @@ def test_fuzz_map_writer_matches_json_dumps(R):
     assert serialize.loads(text.rstrip("\n")) == R
 
 
-def reading(read, text):
-    """What `read(text)` gives: ("map", object) or the exception's type and message."""
-    try:
-        return "map", read(text)
-    except (AlgebraError, TypeError, ValueError, KeyError) as exc:
-        return type(exc), str(exc)
+@st.composite
+def tables(draw):
+    """A binary table, bijection or ternary table of random order, filled
+    from a drawn seed; orders up to 45 make ternary documents of several
+    codec blocks."""
+    kind, n = draw(st.sampled_from(["binary", "bijection", "ternary"])), draw(st.integers(1, 45))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "binary":
+        return BinaryTable(rng.integers(0, n, (n, n)))
+    if kind == "bijection":
+        return Bijection.make(rng.permutation(n).tolist())
+    return TernaryTable(n, rng.integers(0, n, n**3))
+
+
+@FUZZ
+@given(tables())
+def test_fuzz_table_writer_matches_json_dumps(T):
+    text = serialize.dumps(T)
+    doc = serialize.to_jsonable(T)
+    assert text == serialize.encode(doc)
+    for spelled in (text, text.rstrip("\n"), json.dumps(doc), json.dumps(doc) + "\n"):
+        assert serialize._scan(spelled.encode()) == T
+        assert serialize.loads(spelled) == T
 
 
 def edits(text: str):
@@ -134,7 +150,7 @@ def test_fuzz_edited_map_lines_read_as_json_reads_them(R):
         return serialize.from_jsonable(json.loads(text))
 
     for text in edits(serialize.dumps(R)):
-        assert reading(serialize.loads, text) == reading(reference, text), repr(text)
+        assert read_as(serialize.loads, text) == read_as(reference, text), repr(text)
 
 
 #: Values that no field of a document of order at most 4 accepts.

@@ -19,7 +19,7 @@ from dybmaps import (
 )
 from dybmaps import serialize
 from dybmaps.engine import DynamicalMap
-from dybmaps.errors import AlgebraError
+from dybmaps.errors import AlgebraError, NotAPermutation
 
 
 def test_binary_round_trip(tmp_path):
@@ -374,3 +374,183 @@ def test_tables_are_values(n):
                 assert LeftQuasigroup(x.base, x.ldiv) == x
         assert serialize.loads(serialize.dumps(x)) == (x.base if isinstance(x, LeftQuasigroup) else x)
     assert len({x for x, _ in value_tables(n)} | {y for _, y in value_tables(n)}) == 3
+
+
+# --- The array codec against json, for every kind and both spellings ---------
+
+
+def codec_objects():
+    """(name, object): one of each kind at orders 1, 3 and 12, so that entries
+    of one and two digits occur, and tables whose documents span several
+    blocks of the codec."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 3, 12):
+        yield f"binary-{n}", BinaryTable(rng.integers(0, n, (n, n)))
+        yield f"bijection-{n}", Bijection.make(rng.permutation(n).tolist())
+        yield f"ternary-{n}", TernaryTable(n, rng.integers(0, n, n**3))
+        yield f"dynmap-2x{n}", DynamicalMap(rng.integers(0, 2, (2, n)), rng.integers(0, n, (2, n, n, 2)))
+    yield "ternary-41", TernaryTable(41, rng.integers(0, 41, 41**3))
+    yield "binary-300", BinaryTable(rng.integers(0, 300, (300, 300)))
+    yield "bijection-30000", Bijection.make(rng.permutation(30000).tolist())
+
+
+CODEC_OBJECTS = dict(codec_objects())
+
+
+def spellings(doc: dict):
+    """(name, text): `doc` in the package's compact spelling and in
+    json.dumps's default one, each with and without its final newline."""
+    for name, text in (("compact", serialize.encode(doc)), ("spaced", json.dumps(doc) + "\n")):
+        yield name, text
+        yield f"{name}-no-newline", text[:-1]
+
+
+def read_as(read, arg):
+    """What `read(arg)` gives: ("object", its type, the object) or the
+    exception's type and message."""
+    try:
+        obj = read(arg)
+    except (AlgebraError, TypeError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+    return "object", type(obj), obj
+
+
+def assert_reads_as_json(path, text: str) -> None:
+    """`loads` of `text` as str and as bytes, and `load` of a file holding
+    it, each give what json.loads and from_jsonable give."""
+    def reference(source):
+        return serialize.from_jsonable(json.loads(source))
+
+    path.write_bytes(text.encode("utf-8"))
+    assert read_as(serialize.loads, text) == read_as(reference, text), repr(text)
+    assert read_as(serialize.loads, text.encode()) == read_as(reference, text.encode()), repr(text)
+    assert read_as(serialize.load, path) == read_as(reference, path.read_text(encoding="utf-8")), repr(text)
+
+
+@pytest.mark.parametrize("name", CODEC_OBJECTS)
+def test_codec_writes_the_compact_line_and_reads_both_spellings(tmp_path, name):
+    obj = CODEC_OBJECTS[name]
+    doc = serialize.to_jsonable(obj)
+    assert serialize.dumps(obj) == serialize.encode(doc)
+    for spelling, text in spellings(doc):
+        # The codec itself reads each spelling, not only the JSON path.
+        assert serialize._scan(text.encode()) == obj, spelling
+        assert_reads_as_json(tmp_path / "doc.json", text)
+
+
+def test_left_quasigroup_is_written_as_its_base():
+    assert serialize.dumps(TABLE1) == serialize.encode(serialize.to_jsonable(TABLE1.base))
+
+
+#: The bytes a mutation draws from.
+MUTATION_ALPHABET = '0123456789[],:{}"-.e \t\n'
+
+
+def mutations(text: str, rng: random.Random, count: int):
+    """`count` copies of `text`, each with 1-3 bytes replaced, inserted or
+    deleted at random."""
+    for _ in range(count):
+        out = text
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(out) + 1)
+            how = rng.choice("rid") if i < len(out) else "i"
+            c = rng.choice(MUTATION_ALPHABET)
+            out = out[:i] + c + out[i + (how != "i"):] if how != "d" else out[:i] + out[i + 1:]
+        yield out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_documents_read_as_json_reads_them(tmp_path, kind):
+    """Every mutation gives the object, or the exception type and message,
+    of json.loads and from_jsonable, in either spelling."""
+    rng = random.Random(f"mutations/{kind}")
+    for _, text in spellings(serialize.to_jsonable(KINDS[kind])):
+        for edited in mutations(text, rng, 250):
+            assert_reads_as_json(tmp_path / "doc.json", edited)
+
+
+def _last_entry(text: str, value: str) -> str:
+    """`text` with its last number replaced by `value`."""
+    return re.sub(r"[0-9]+(\]+\}\n?)$", lambda m: value + m[1], text)
+
+
+def named_edits(kind: str, doc: dict, text: str):
+    """(name, text): edits of a document's text that the codec must leave to
+    the JSON path, or read as it reads them."""
+    yield "digit in a key", text.replace('"kind"', '"ki1nd"', 1)
+    yield "digit in the order key", text.replace('order"', 'ord3er"', 1)
+    yield "digit in the kind", text.replace(f'"{kind}"', f'"{kind[:2]}7{kind[2:]}"', 1)
+    yield "space in the kind", text.replace(f'"{kind}"', f'"{kind[:3]} {kind[3:]}"', 1)
+    yield "space before a comma", re.sub(r"([0-9]),", r"\1 ,", text, count=1)
+    yield "space before a bracket", re.sub(r"([0-9])\]", r"\1 ]", text, count=1)
+    yield "space before a colon", text.replace('":', '" :', 1)
+    yield "two spaces", text.replace(": ", ":  ", 1) if ": " in text else text.replace(":", ":  ", 1)
+    yield "tab", re.sub(r"([0-9]), ?", "\\1,\t", text, count=1)
+    yield "crlf", text.rstrip("\n") + "\r\n"
+    yield "leading space", " " + text
+    yield "trailing space", text.rstrip("\n") + " \n"
+    for value in ("01", "00", "-0", "-1", "1.0", "1e0", "true", "null", '"1"', "1234567890"):
+        yield f"entry {value}", _last_entry(text, value)
+    yield "order 03", re.sub(r'order": ?', lambda m: m[0] + "0", text, count=1)
+    yield "order 0", re.sub(r'order(": ?)[0-9]+', r"order\g<1>0", text, count=1)
+    yield "order one more", re.sub(r'order(": ?)([0-9]+)', lambda m: f"order{m[1]}{int(m[2]) + 1}", text, count=1)
+    yield "missing slot", _last_entry(text, "")
+    yield "missing entry", re.sub(r"[0-9]+, ?([0-9]+\]+\}\n?)$", r"\1", text)
+    yield "extra slot", re.sub(r"([0-9]+)(\]+\}\n?)$", r"\1,0\2", text)
+    yield "extra key first", text.replace("{", '{"x":1,', 1)
+    yield "extra key last", re.sub(r"\}(\n?)$", r',"x":1}\1', text)
+    yield "bom", "\ufeff" + text
+    yield "doubled", text + text
+    yield "cut", text[: len(text) // 2]
+    spaced = ", " in text
+    respell = json.dumps if spaced else lambda d: json.dumps(d, separators=(",", ":"))
+    end = "\n" if text.endswith("\n") else ""
+    yield "reordered keys", respell(dict(reversed(list(doc.items())))) + end
+    if kind == "binary":
+        short = json.loads(json.dumps(doc))
+        short["table"][1].pop()
+        yield "short row", respell(short) + end
+    if kind == "bijection":
+        repeated = json.loads(json.dumps(doc))
+        repeated["map"][1] = repeated["map"][0]
+        yield "repeated value", respell(repeated) + end
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_named_edits_read_as_json_reads_them(tmp_path, kind):
+    seen = set()
+    doc = serialize.to_jsonable(CODEC_OBJECTS[f"{kind}-12" if kind != "dynmap" else "dynmap-2x12"])
+    for _, text in spellings(doc):
+        for name, edited in named_edits(kind, doc, text):
+            assert edited != text, name
+            assert_reads_as_json(tmp_path / "doc.json", edited)
+            seen.add(name)
+    assert len(seen) >= 30
+
+
+def test_repeated_bijection_value_keeps_its_message():
+    for text in ('{"kind":"bijection","order":3,"map":[2,0,2]}\n',
+                 '{"kind": "bijection", "order": 3, "map": [2, 0, 2]}'):
+        with pytest.raises(NotAPermutation, match="^value 2 at position 2$"):
+            serialize.loads(text)
+
+
+def test_huge_declared_order_is_refused_before_any_skeleton(monkeypatch):
+    """A short document declaring order 10^6 goes straight to the JSON path:
+    its slot count is compared with its length before a skeleton is made."""
+    def no_skeleton(*args):
+        raise AssertionError("skeleton built")
+
+    texts = []
+    body = '{"kind": "ternary", "order": 1000000, "table": [0'
+    texts.append(body + ", 0" * ((100 - len(body) - 3) // 3) + "]}\n")
+    assert len(texts[0]) == 100
+    for kind in ("binary", "bijection", "dynmap"):
+        line = serialize.dumps(KINDS[kind])
+        texts.append(re.sub(r'order":3', 'order":1000000', line))
+    monkeypatch.setattr(serialize, "_skeleton", no_skeleton)
+    for text in texts:
+        assert "1000000" in text
+        expected = read_as(lambda t: serialize.from_jsonable(json.loads(t)), text)
+        assert expected[0] != "object"
+        assert read_as(serialize.loads, text) == expected
