@@ -171,6 +171,9 @@ class Bijection:
         return len(self.map)
 
     def __call__(self, x: int) -> int:
+        n = len(self.map)
+        if not 0 <= x < n:
+            raise IndexOutOfRange(f"{x} outside 0..{n - 1}")
         return self.map[x]
 
     def invert(self) -> Bijection:

@@ -2,14 +2,14 @@
 
 Two triples (L1, M, pi1) and (L2, M, pi2) over the same ternary table give
 maps conjugate to each other through an explicit per-weight gauge map J on
-pairs.  When the second map is weight-independent the relation is a
-vertex-IRF correspondence; any map in class D1 admits one.
+pairs, held like a map's pairs as one (2, n, n, n) array.  When the second
+map is weight-independent the relation is a vertex-IRF correspondence; any
+map in class D1 admits one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, Or
 from .kernel import Identity, _axes, check
 from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition, make_mu_g
-
-PairTable = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 # verify_irf_irf with the bijection J(lam1) applied to both sides; the inner
 # swaps of (swap R2 swap) o (swap J swap) cancel.
@@ -33,12 +31,15 @@ _IRF_IRF = Identity("lam1 u v", """
 """)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceInstance:
     """Both maps of a shared ternary table plus the materialised gauge.
 
-    J[lam1][u][v] is the image pair in L2 x L2; it is stored explicitly so
-    a failing identity check localises to a concrete object.
+    The gauge is one read-only int32 array laid out like a map's `pairs`:
+    `J[:, lam1, u, v]`, of shape (2, n, n, n), is the image pair of (u, v)
+    in L2 x L2.  It is stored explicitly so a failing identity check
+    localises to a concrete object, and `verify_irf_irf` reads it as it is.
+    Instances compare and hash by identity.
     """
 
     L1: LeftQuasigroup
@@ -48,7 +49,7 @@ class CorrespondenceInstance:
     pi2: Bijection
     R1: DynamicalMap
     R2: DynamicalMap
-    J: PairTable
+    J: np.ndarray
 
     @property
     def order(self) -> int:
@@ -89,6 +90,8 @@ def build_correspondence(
     repeats = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
     if repeats.size:
         raise AlgebraError(f"gauge at weight {repeats[0]} is not bijective")
+    J = np.stack((j0, j1))
+    J.setflags(write=False)
 
     return CorrespondenceInstance(
         L1=L1,
@@ -98,13 +101,13 @@ def build_correspondence(
         pi2=pi2,
         R1=build_dyb(Triple(L1, M, pi1), checked=False),
         R2=build_dyb(Triple(L2, M, pi2), checked=False),
-        J=tuple(tuple(map(tuple, map(zip, a, b))) for a, b in zip(j0.tolist(), j1.tolist())),
+        J=J,
     )
 
 
 def verify_irf_irf(c: CorrespondenceInstance) -> CheckResult:
     """Check R1(lam1) = J(lam1)^-1 o swap R2(rho lam1) swap o (swap J(lam1) swap)."""
-    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=tuple(zip(*chain.from_iterable(chain.from_iterable(c.J)))),
+    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=c.J.reshape(2, -1),
                  r1=c.R1.pairs.reshape(2, -1), r2=c.R2.pairs.reshape(2, -1))
 
 

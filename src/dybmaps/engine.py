@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NoReturn
 from itertools import chain
 
 import numpy as np
@@ -125,7 +124,8 @@ class DynamicalMap(Arrays):
     `DynamicalMap(phi, r)` takes nested sequences (or arrays) of those
     shapes and raises ValueError for a map that is empty, ragged, or has an
     entry that is not an integer or is out of range, with the messages of
-    the JSON reader.
+    the JSON reader.  It reads them once, entry by entry, and builds the
+    arrays from the rows it read.
     """
 
     _arrays = ("shift", "pairs")
@@ -165,6 +165,7 @@ class DynamicalMap(Arrays):
 
     def sigma(self, lam: int, u: int, v: int) -> tuple[int, int]:
         """The braiding companion: output of R(lam) with slots swapped."""
+        _check_indices(self, lam, u, v)
         return (int(self.pairs[1, lam, u, v]), int(self.pairs[0, lam, u, v]))
 
     def __repr__(self) -> str:
@@ -200,50 +201,14 @@ class DynamicalMap(Arrays):
         return L.division.reshape(-1)
 
 
-_INT = frozenset({int})
-
-
 def _map_arrays(phi, r, declared=None) -> tuple[np.ndarray, np.ndarray]:
-    """(shift, pairs) of nested rows phi[lam][u] and r[lam][u][v], checked.
-    Whole-field passes accept a valid map; whatever they refuse goes on to
-    the entry-by-entry reading, which names the problem."""
+    """(shift, pairs) of nested rows phi[lam][u] and r[lam][u][v], read entry
+    by entry.  ValueError for the first problem in this order: no weight or
+    element, the orders (`declared`), the shape of r, each pair's types and
+    range, then each row of phi's length, types and range.  A row that is
+    not a list, or an entry of r that is not a pair, is named by its
+    position instead."""
     phi, r = (x.tolist() if isinstance(x, np.ndarray) else x for x in (phi, r))
-    try:
-        arrays = _whole_field_arrays(phi, r)
-    except (TypeError, LookupError, OverflowError):
-        arrays = None
-    if arrays is None:
-        _reject(phi, r, declared)
-    if declared is not None:
-        declared(*arrays[0].shape)
-    return arrays
-
-
-def _whole_field_arrays(phi, r) -> tuple[np.ndarray, np.ndarray] | None:
-    """The arrays of a valid map in a few C-level passes over each field
-    (lengths per level, the type of every entry, then min and max), or None."""
-    chain_ = chain.from_iterable
-    h, n = len(phi), len(phi[0])
-    rows = list(chain_(r))
-    pairs = list(chain_(rows))
-    values, shifts = list(chain_(pairs)), list(chain_(phi))
-    if not (h and n and len(r) == h and set(map(len, pairs)) == {2}
-            and {n} == set(map(len, r)) == set(map(len, rows)) == set(map(len, phi))
-            and _INT.issuperset(map(type, values)) and _INT.issuperset(map(type, shifts))):
-        return None
-    out = np.fromiter(values, np.int32, len(values))
-    shift = np.fromiter(shifts, np.int32, len(shifts))
-    if out.min() < 0 or out.max() >= n or shift.min() < 0 or shift.max() >= h:
-        return None
-    return shift.reshape(h, n), np.ascontiguousarray(out.reshape(h, n, n, 2).transpose(3, 0, 1, 2))
-
-
-def _reject(phi, r, declared) -> NoReturn:
-    """Read phi and r entry by entry, and raise ValueError for the first
-    problem in this order: no weight or element, the orders (`declared`),
-    the shape of r, each pair's types and range, then each row of phi's
-    length, types and range.  A row that is not a list, or an entry of r
-    that is not a pair, is named by its position instead."""
     try:
         phi_rows = tuple(map(tuple, phi))
         r_rows = tuple(tuple(tuple(map(tuple, row)) for row in lam_rows) for lam_rows in r)
@@ -275,7 +240,9 @@ def _reject(phi, r, declared) -> NoReturn:
         require_shape(phi, 2, "integers", "phi")
         require_shape(r, 3, "pairs", "r")
         raise
-    raise RuntimeError("the whole-field passes refused a map whose entries are all valid")
+    flat = chain.from_iterable
+    pairs = np.fromiter(flat(flat(flat(r_rows))), np.int32, 2 * h * n * n).reshape(h, n, n, 2)
+    return np.array(phi_rows, np.int32), np.ascontiguousarray(pairs.transpose(3, 0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -437,12 +404,17 @@ def reconstruct_G(
 def is_D_morphism(f, V, V2) -> bool:
     """Is f: L -> L' a multiplication-preserving map intertwining the two maps?
 
-    V and V2 are (LeftQuasigroup, DynamicalMap) pairs; f may be a Bijection
-    or a sequence.  Checks f(u*v) = f(u)*'f(v) and
+    V and V2 are (LeftQuasigroup, DynamicalMap) pairs, each map of its left
+    quasigroup's order (OrderMismatch otherwise); f may be a Bijection or a
+    sequence.  Checks f(u*v) = f(u)*'f(v) and
     R'(f(lam))(f(u), f(v)) = (f x f)(R(lam)(u, v)) for all inputs.
     """
     L, R = V
     L2, R2 = V2
+    for H, S in (V, V2):
+        if S.weight_order != H.order or S.set_order != H.order:
+            raise OrderMismatch(f"map orders ({S.weight_order}, {S.set_order}) differ from "
+                                f"the left quasigroup's order {H.order}")
     fm = tuple(f.map) if isinstance(f, Bijection) else tuple(map(integer, f))
     if len(fm) != L.order or any(not 0 <= x < L2.order for x in fm):
         return False

@@ -78,9 +78,6 @@ def to_jsonable(obj) -> dict:
     return doc
 
 
-_INT = frozenset({int})
-
-
 def _int(x) -> int:
     """x itself if it is a JSON integer; bools, floats and strings are rejected."""
     if type(x) is not int:
@@ -88,22 +85,12 @@ def _int(x) -> int:
     return x
 
 
-def _ints(values) -> tuple:
-    """The values as a tuple, all of them JSON integers.  The type test runs
-    over the whole tuple at once, which is cheaper than an int() per entry."""
-    out = tuple(values)
-    if not _INT.issuperset(map(type, out)):
-        bad = next(x for x in out if type(x) is not int)
-        raise ValueError(f"expected an integer, got {bad!r}")
-    return out
-
-
 #: The fields each kind must have, and of each nested list among them how
 #: many lists deep it is and what its innermost lists hold.  A map's
 #: constructor names its own.
 _FIELDS = {
-    "binary": {"table": (2, "integers")},
-    "bijection": {"map": (1, "integers")},
+    "binary": {"table": (2, "integers"), "order": None},
+    "bijection": {"map": (1, "integers"), "order": None},
     "ternary": {"table": (1, "integers"), "order": None},
     "dynmap": dict.fromkeys(("weight_order", "set_order", "phi", "r")),
 }
@@ -135,17 +122,17 @@ def from_jsonable(doc: dict):
 
 def _read(kind: str, doc: dict):
     if kind == "binary":
-        t = BinaryTable(tuple(map(_ints, doc["table"])))
-        if t.order != _int(doc.get("order", t.order)):
+        t = BinaryTable(tuple(tuple(map(_int, row)) for row in doc["table"]))
+        if t.order != _int(doc["order"]):
             raise ValueError("declared order disagrees with table shape")
         return t
     if kind == "bijection":
-        b = Bijection.make(_ints(doc["map"]))
-        if b.order != _int(doc.get("order", b.order)):
+        b = Bijection.make(tuple(map(_int, doc["map"])))
+        if b.order != _int(doc["order"]):
             raise ValueError("declared order disagrees with map length")
         return b
     if kind == "ternary":
-        return TernaryTable(_int(doc["order"]), _ints(doc["table"]))
+        return TernaryTable(_int(doc["order"]), tuple(map(_int, doc["table"])))
     return _dynmap(doc)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binary import Bijection, LeftQuasigroup, check_binary_condition
-from .errors import IdempotenceRequired, PreconditionFailed
+from .errors import IdempotenceRequired, IndexOutOfRange, PreconditionFailed
 from .kernel import Arrays, Identity, check, in_range, integer
 from .result import CheckResult
 
@@ -92,6 +92,8 @@ class TernaryTable(Arrays):
 
     def mu(self, a: int, b: int, c: int) -> int:
         n = self.order
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            raise IndexOutOfRange(f"({a},{b},{c}) outside 0..{n - 1}")
         return int(self.array[(a * n + b) * n + c])
 
 

@@ -84,6 +84,14 @@ def test_left_divide_examples():
         TABLE1.left_div(3, 0)
 
 
+@pytest.mark.parametrize("x", [3, 7, -1, -3])
+def test_bijection_refuses_a_point_outside_the_carrier(x):
+    b = Bijection.make((2, 0, 1))
+    with pytest.raises(IndexOutOfRange, match=f"^{re.escape(f'{x} outside 0..2')}$"):
+        b(x)
+    assert [b(u) for u in range(3)] == [2, 0, 1]
+
+
 def test_binary_conditions_on_table1():
     assert check_binary_condition(TABLE1, "EX12")
     assert check_binary_condition(TABLE1, "LQ1")

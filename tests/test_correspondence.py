@@ -1,6 +1,8 @@
 import dataclasses
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 from conftest import BIJ3, TABLE1, cyclic, lq, shift
 
@@ -25,6 +27,7 @@ from dybmaps import (
     vertex_counterpart,
     vertex_counterpart_from_map,
 )
+from dybmaps import kernel
 
 ID3 = Bijection.identity(3)
 MU1 = make_mu_g(TABLE1, 1)
@@ -33,14 +36,14 @@ MU1 = make_mu_g(TABLE1, 1)
 def test_degenerate_gauge_is_the_swap():
     inst = build_correspondence(TABLE1, TABLE1, MU1, ID3, ID3)
     for lam, u, v in product(range(3), repeat=3):
-        assert inst.J[lam][u][v] == (v, u)
+        assert tuple(inst.J[:, lam, u, v].tolist()) == (v, u)
     assert verify_irf_irf(inst)
 
 
 def test_gauge_is_bijective_per_weight():
     inst = build_correspondence(TABLE1, shift(3), MU1, ID3, BIJ3[3])
     for lam in range(3):
-        pairs = {inst.J[lam][u][v] for u in range(3) for v in range(3)}
+        pairs = {tuple(inst.J[:, lam, u, v].tolist()) for u in range(3) for v in range(3)}
         assert len(pairs) == 9
 
 
@@ -58,11 +61,37 @@ def test_identity_holds_for_all_order3_instances():
 
 def test_corrupted_gauge_is_detected():
     inst = build_correspondence(TABLE1, shift(3), MU1, ID3, ID3)
-    rows0 = [list(row) for row in inst.J[0]]
-    rows0[0][0], rows0[0][1] = rows0[0][1], rows0[0][0]
-    J = (tuple(tuple(r) for r in rows0),) + inst.J[1:]
+    J = inst.J.copy()
+    J[:, 0, 0, [0, 1]] = J[:, 0, 0, [1, 0]]
     res = verify_irf_irf(dataclasses.replace(inst, J=J))
     assert not res and res.witness is not None
+
+
+def test_gauge_is_one_read_only_int32_array():
+    inst = build_correspondence(TABLE1, shift(3), MU1, ID3, BIJ3[3])
+    assert inst.J.shape == (2, 3, 3, 3) and inst.J.dtype == np.int32
+    assert not inst.J.flags.writeable
+    with pytest.raises(ValueError):
+        inst.J[0, 0, 0, 0] = 1
+    # instances compare and hash by identity
+    assert inst == inst and hash(inst) == hash(inst)
+    assert inst != dataclasses.replace(inst)
+
+
+def test_gauge_identity_at_order_12_reads_as_on_the_loop(monkeypatch):
+    # 12^3 points: the default evaluator runs verify_irf_irf as slabs.
+    rng = random.Random("gauge/12")
+    n = 12
+    L1 = lq([rng.sample(range(n), n) for _ in range(n)])
+    pi1, pi2 = (Bijection.make(rng.sample(range(n), n)) for _ in range(2))
+    inst = build_correspondence(L1, cyclic(n), make_mu_g(cyclic(n), 1), pi1, pi2)
+    J = inst.J.copy()
+    J[:, 5, [3, 7], [2, 9]] = J[:, 5, [7, 3], [9, 2]]
+    bad = dataclasses.replace(inst, J=J)
+    default = [verify_irf_irf(inst), verify_irf_irf(bad)]
+    assert default[0] and not default[1] and default[1].witness[0] == 5
+    monkeypatch.setattr(kernel, "_first_failure", kernel._loop_first)
+    assert [verify_irf_irf(inst), verify_irf_irf(bad)] == default
 
 
 def test_build_guards():

@@ -114,6 +114,15 @@ def test_eval_components():
         eval_xi(Rq, 3, 0, 0)
 
 
+@pytest.mark.parametrize("index", [(3, 0, 0), (0, 0, 3), (-1, 0, 0), (0, -1, 2)])
+def test_point_lookups_of_a_map_refuse_an_index_outside_the_carrier(index):
+    R = build_dyb(Triple(shift(3), make_mu_g(TABLE1, 1), ID3))
+    lam, u, v = index
+    for lookup in (lambda: R.sigma(lam, u, v), lambda: eval_xi(R, lam, u, v), lambda: eval_eta(R, lam, v, u)):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"(lam,u,v)=({lam},{u},{v})")):
+            lookup()
+
+
 def test_qdybe_holds_for_identity_and_fails_for_bad_build():
     assert verify_qdybe(identity_map(3))
     bad = TernaryTable.from_flat(2, NON_M1M2_FLAT)
@@ -507,3 +516,18 @@ def test_is_D_morphism_reads_integers_only():
         is_D_morphism([0.3, 1.7], V, V)
     with pytest.raises(ValueError, match=re.escape("expected an integer, got '1'")):
         is_D_morphism([0, "1"], V, V)
+
+
+def test_is_D_morphism_refuses_a_map_of_another_order():
+    Z2, Z3 = cyclic(2), cyclic(3)
+    R_Z2 = build_dyb(Triple(Z2, make_mu_g(Z2, 1), Bijection.identity(2)))
+    R_Z3 = build_dyb(Triple(Z3, make_mu_g(Z3, 1), Bijection.identity(3)))
+    message = "map orders (3, 3) differ from the left quasigroup's order 2"
+    for V, V2 in (((Z2, R_Z2), (Z2, R_Z3)), ((Z2, R_Z3), (Z2, R_Z2))):
+        with pytest.raises(OrderMismatch, match=f"^{re.escape(message)}$"):
+            is_D_morphism((0, 1), V, V2)
+    # a map whose weights alone are of another order
+    R_h3 = DynamicalMap([[0, 1]] * 3, [[[(0, 0), (1, 1)]] * 2] * 3)
+    with pytest.raises(OrderMismatch, match=re.escape("map orders (3, 2) differ")):
+        is_D_morphism((0, 1), (Z2, R_h3), (Z2, R_Z2))
+    assert is_D_morphism((0, 1), (Z2, R_Z2), (Z2, R_Z2))

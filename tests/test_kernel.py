@@ -101,9 +101,8 @@ def every_check(n, seed):
                 out.append(is_D_morphism(pi, (H, R), (H, S)))
             out.append(conjugation_selfcheck(Triple(H, M, pi)))
     inst = build_correspondence(L, G, valid, pi, Bijection.identity(n))
-    J = [[list(row) for row in rows] for rows in inst.J]
-    J[0][0][0], J[0][n - 1][n - 1] = J[0][n - 1][n - 1], J[0][0][0]
-    J = tuple(tuple(tuple(row) for row in rows) for rows in J)
+    J = inst.J.copy()
+    J[:, 0, [0, n - 1], [0, n - 1]] = J[:, 0, [n - 1, 0], [n - 1, 0]]
     out += [verify_irf_irf(inst), verify_irf_irf(dataclasses.replace(inst, J=J))]
     return out
 

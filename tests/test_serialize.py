@@ -272,9 +272,9 @@ KINDS = {
 }
 
 
-REQUIRED_FIELDS = [("ternary", "table"), ("ternary", "order"), ("binary", "table"),
-                   ("bijection", "map"), ("dynmap", "weight_order"), ("dynmap", "set_order"),
-                   ("dynmap", "phi"), ("dynmap", "r")]
+REQUIRED_FIELDS = [("ternary", "table"), ("ternary", "order"), ("binary", "table"), ("binary", "order"),
+                   ("bijection", "map"), ("bijection", "order"), ("dynmap", "weight_order"),
+                   ("dynmap", "set_order"), ("dynmap", "phi"), ("dynmap", "r")]
 
 
 @pytest.mark.parametrize("kind, field", REQUIRED_FIELDS)

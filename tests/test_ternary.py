@@ -8,6 +8,7 @@ from conftest import NON_M1M2_FLAT, TABLE1, cyclic, klein, shift
 from dybmaps import (
     Bijection,
     IdempotenceRequired,
+    IndexOutOfRange,
     PreconditionFailed,
     TernaryTable,
     braid_check,
@@ -53,6 +54,15 @@ def test_mu_values_against_hand_evaluation():
     assert make_mu_g(TABLE1, 1).mu(0, 1, 2) == 1
     assert make_mu_g(TABLE1, 2).mu(0, 1, 2) == 1
     assert make_mu_g(cyclic(2), 3).mu(0, 1, 1) == 0
+
+
+@pytest.mark.parametrize("index", [(0, 0, 2), (0, 2, 0), (2, 0, 0), (-1, 0, 0), (0, 0, -1), (0, -2, 1)])
+def test_mu_refuses_an_index_outside_the_carrier(index):
+    M = TernaryTable.from_flat(2, NON_M1M2_FLAT)
+    message = f"({','.join(map(str, index))}) outside 0..1"
+    with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
+        M.mu(*index)
+    assert [M.mu(a, b, c) for a, b, c in product(range(2), repeat=3)] == list(NON_M1M2_FLAT)
 
 
 def test_mu_g_precondition_enforced():
