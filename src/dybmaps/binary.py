@@ -141,12 +141,12 @@ class StructureFlags:
     identity: int | None
 
 
-@dataclass(frozen=True)
-class Bijection:
-    """A permutation of 0..n-1 together with its inverse."""
+class Bijection(Arrays):
+    """A permutation of 0..n-1 and its inverse, the read-only int32 arrays
+    `map` and `inverse`; `make` is the one constructor that checks."""
 
-    map: tuple[int, ...]
-    inverse: tuple[int, ...]
+    __slots__ = ("map", "inverse")
+    _arrays = ("map", "inverse")
 
     @classmethod
     def make(cls, mapping) -> Bijection:
@@ -159,12 +159,12 @@ class Bijection:
             if not 0 <= x < n or inv[x] != -1:
                 raise NotAPermutation(f"value {x} at position {i}")
             inv[x] = i
-        return cls(m, tuple(inv))
+        return cls._of(np.array(m, np.int32), np.array(inv, np.int32))
 
     @classmethod
     def identity(cls, n: int) -> Bijection:
-        ident = tuple(range(n))
-        return cls(ident, ident)
+        ident = np.arange(n, dtype=np.int32)
+        return cls._of(ident, ident)
 
     @property
     def order(self) -> int:
@@ -174,16 +174,16 @@ class Bijection:
         n = len(self.map)
         if not 0 <= x < n:
             raise IndexOutOfRange(f"{x} outside 0..{n - 1}")
-        return self.map[x]
+        return int(self.map[x])
 
     def invert(self) -> Bijection:
-        return Bijection(self.inverse, self.map)
+        return Bijection._of(self.inverse, self.map)
 
     def compose(self, other: Bijection) -> Bijection:
         """Return self after other: (self.compose(other))(x) = self(other(x))."""
         if len(self.map) != len(other.map):
             raise NotAPermutation("cannot compose bijections of different orders")
-        return Bijection.make(tuple(self.map[x] for x in other.map))
+        return Bijection._of(self.map.take(other.map), other.inverse.take(self.inverse))
 
 
 @cache

@@ -15,7 +15,7 @@ import numpy as np
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup, check_binary_condition, classify_structure, validate_left_quasigroup
 from .engine import DynamicalMap, Triple, build_dyb
-from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch
+from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch, ShapeMismatch
 from .kernel import Identity, _axes, check
 from .result import CheckResult
 from .ternary import TernaryTable, check_ternary_condition, make_mu_g
@@ -39,7 +39,10 @@ class CorrespondenceInstance:
     `J[:, lam1, u, v]`, of shape (2, n, n, n), is the image pair of (u, v)
     in L2 x L2.  It is stored explicitly so a failing identity check
     localises to a concrete object, and `verify_irf_irf` reads it as it is.
-    Instances compare and hash by identity.
+    Construction (`dataclasses.replace` too) refuses a J of another shape
+    (ShapeMismatch) or with entries that are not integers in 0..n-1
+    (ValueError), and stores it read-only as int32, copied only if it is
+    writable or of another dtype.  Instances compare and hash by identity.
     """
 
     L1: LeftQuasigroup
@@ -50,6 +53,19 @@ class CorrespondenceInstance:
     R1: DynamicalMap
     R2: DynamicalMap
     J: np.ndarray
+
+    def __post_init__(self):
+        n, J = self.order, np.asarray(self.J)
+        if J.shape != (2, n, n, n):
+            raise ShapeMismatch(f"gauge of shape {J.shape}, expected {(2, n, n, n)}")
+        if J.dtype.kind not in "iu":
+            raise ValueError(f"gauge entries must be integers, got dtype {J.dtype}")
+        if J.min() < 0 or J.max() >= n:
+            raise ValueError(f"gauge entry out of range 0..{n - 1}")
+        if J.flags.writeable or J.dtype != np.int32:
+            J = J.astype(np.int32)
+            J.setflags(write=False)
+            object.__setattr__(self, "J", J)
 
     @property
     def order(self) -> int:
@@ -78,7 +94,7 @@ def build_correspondence(
     for cond in ("M1", "M2"):
         check_ternary_condition(M, cond).require(M1M2Violation)
     n = M.order
-    rho = np.array(pi2.inverse, np.int32).take(pi1.map)
+    rho = pi2.inverse.take(pi1.map)
     mul1, ld2 = L1.array.reshape(-1), L2.division.reshape(-1)
     # J(lam1)(u, v) = (rho(lam1) \ r0, r0 \ r1), r0 = rho(lam1*v), r1 = rho((lam1*v)*u)
     lam1, u, v = _axes((n, n, n))
@@ -132,7 +148,7 @@ def vertex_counterpart(
     if L.order != G.order or pi.order != L.order:
         raise OrderMismatch(f"orders differ: L={L.order}, G={G.order}, pi={pi.order}")
     check_binary_condition(G, "LQ1").require(LQ1Violation)
-    p, q = np.array((pi.map, pi.inverse), np.int32)
+    p, q = pi.map, pi.inverse
     L_prime = validate_left_quasigroup(BinaryTable._of(q.take(G.array.take(p, 0).take(p, 1))))
     R_prime = build_dyb(Triple(L_prime, make_mu_g(G, 1, checked=False), pi), checked=False)
     return L_prime, R_prime

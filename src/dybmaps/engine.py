@@ -140,12 +140,6 @@ class DynamicalMap(Arrays):
         is checked: the JSON reader compares a document's orders there."""
         return cls._of(*_map_arrays(phi, r, declared))
 
-    def _bind(self, shift: np.ndarray, pairs: np.ndarray) -> None:
-        """Arrays that a builder made valid: (h, n) and (2, h, n, n), int32."""
-        shift.setflags(write=False)
-        pairs.setflags(write=False)
-        self.shift, self.pairs = shift, pairs
-
     @property
     def weight_order(self) -> int:
         return self.shift.shape[0]
@@ -273,7 +267,7 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
             check_ternary_condition(t.M, cond).require(M1M2Violation)
     n = t.L.order
     mul, ld = t.L.array, t.L.division
-    p, q = np.array((t.pi.map, t.pi.inverse), np.int32)
+    p, q = t.pi.map, t.pi.inverse
     lam, _, v = _axes((n, n, n))
     lam_n, lu = lam * n, mul[:, :, None]
     luv = mul.take(lu * n + v)
@@ -383,7 +377,7 @@ def reconstruct_G(
     n = t.L.order
     if not 0 <= basepoint < n:
         raise IndexOutOfRange(f"basepoint {basepoint} outside 0..{n - 1}")
-    p, q = np.array((t.pi.map, t.pi.inverse), np.int32)
+    p, q = t.pi.map, t.pi.inverse
     # a * b = lam \ pi^-1(mu(...)) at the basepoint lam, each mu reading
     # pl = pi(lam), pa = pi(lam*a) down the rows and pb = pi(lam*b) across
     pl = p[basepoint]
@@ -397,8 +391,8 @@ def reconstruct_G(
         cells = (pl * n + pa) * n + pb
     ld = t.L.division[basepoint]
     G = validate_left_quasigroup(BinaryTable._of(ld.take(q.take(t.M.array.take(cells)))))
-    pi_prime = Bijection.make(ld.tolist())
-    return G, pi_prime
+    # pi_prime(x) = basepoint \ x, whose inverse is x -> basepoint * x
+    return G, Bijection._of(ld, t.L.array[basepoint])
 
 
 def is_D_morphism(f, V, V2) -> bool:
@@ -415,7 +409,7 @@ def is_D_morphism(f, V, V2) -> bool:
         if S.weight_order != H.order or S.set_order != H.order:
             raise OrderMismatch(f"map orders ({S.weight_order}, {S.set_order}) differ from "
                                 f"the left quasigroup's order {H.order}")
-    fm = tuple(f.map) if isinstance(f, Bijection) else tuple(map(integer, f))
+    fm = f.map if isinstance(f, Bijection) else tuple(map(integer, f))
     if len(fm) != L.order or any(not 0 <= x < L2.order for x in fm):
         return False
     return bool(
@@ -467,13 +461,11 @@ def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:
             f"orders differ: LP={LP.order}, G={G.order}, pi={pi.order}"
         )
     e_g = flags_g.identity
-    if pi.map[flags_lp.identity] != e_g:
-        raise UnitNotPreserved(
-            f"pi({flags_lp.identity}) = {pi.map[flags_lp.identity]} != {e_g}"
-        )
+    if pi(flags_lp.identity) != e_g:
+        raise UnitNotPreserved(f"pi({flags_lp.identity}) = {pi(flags_lp.identity)} != {e_g}")
     n = LP.order
     lmul, ld, gmul, gld = LP.array, LP.division, G.array, G.division
-    p, q = np.array((pi.map, pi.inverse), np.int32)
+    p, q = pi.map, pi.inverse
     lam, u, v = np.ogrid[:n, :n, :n]
     # theta[u, x] = pi(u)^-1 * pi(u * pi^-1(x)), row by row a bijection of G
     theta = gmul[gld[p, e_g][:, None], p[lmul[:, q]]]

@@ -34,9 +34,9 @@ FAILS = -2
 
 
 class Arrays:
-    """Base of the package's tables and maps, each held in read-only int32
-    arrays, the attributes `_arrays` names.  `_of` makes one, unchecked,
-    from arrays that a builder made valid, through the class's `_bind`;
+    """Base of the package's tables, maps and bijections, each held in
+    read-only int32 arrays, the attributes `_arrays` names.  `_of` makes
+    one, unchecked, from arrays that a builder made valid, through `_bind`;
     equality and hashing are by content."""
 
     __slots__ = ()
@@ -47,6 +47,12 @@ class Arrays:
         obj = cls.__new__(cls)
         obj._bind(*args)
         return obj
+
+    def _bind(self, *arrays: np.ndarray) -> None:
+        """Freeze each array and store it under its name in `_arrays`."""
+        for name, array in zip(self._arrays, arrays):
+            array.setflags(write=False)
+            setattr(self, name, array)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -52,7 +52,7 @@ def _numbers(obj) -> tuple[str, tuple[int, ...], list[np.ndarray]]:
     if isinstance(obj, BinaryTable):
         return "binary", (obj.order,), [obj.array]
     if isinstance(obj, Bijection):
-        return "bijection", (obj.order,), [np.array(obj.map, np.int32)]
+        return "bijection", (obj.order,), [obj.map]
     if isinstance(obj, TernaryTable):
         return "ternary", (obj.order,), [obj.array]
     raise TypeError(f"cannot serialize {type(obj).__name__}")

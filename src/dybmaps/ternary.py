@@ -175,7 +175,7 @@ def is_ternary_hom(h, M: TernaryTable, M2: TernaryTable) -> CheckResult:
 
     `h` may be a Bijection or any sequence mapping M's carrier into M2's.
     """
-    hm = tuple(h.map) if isinstance(h, Bijection) else tuple(map(integer, h))
+    hm = h.map if isinstance(h, Bijection) else tuple(map(integer, h))
     if len(hm) != M.order:
         raise ValueError("h must be total on the source carrier")
     if any(not 0 <= x < M2.order for x in hm):

@@ -155,11 +155,12 @@ def test_unknown_condition_rejected():
 
 def test_bijection_make_invert_compose():
     f = Bijection.make([1, 2, 0])
-    assert f.invert().map == (2, 0, 1)
-    assert f.compose(f.invert()).map == (0, 1, 2)
+    assert f.invert().map.tolist() == [2, 0, 1]
+    assert f.compose(f.invert()).map.tolist() == [0, 1, 2]
     g = Bijection.make([0, 2, 1])
     # compose(f, g)(x) = f(g(x))
-    assert f.compose(g).map == tuple(f.map[g.map[x]] for x in range(3))
+    fm, gm = f.map.tolist(), g.map.tolist()
+    assert f.compose(g).map.tolist() == [fm[gm[x]] for x in range(3)]
     with pytest.raises(NotAPermutation):
         Bijection.make([0, 0, 1])
 
@@ -187,8 +188,27 @@ def test_from_rows_reads_integers_only():
 
 
 def test_bijection_make_reads_integers_only():
-    assert Bijection.make([np.int64(1), False]).map == (1, 0)
+    assert Bijection.make([np.int64(1), False]).map.tolist() == [1, 0]
     with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.9")):
         Bijection.make([1.9, "0"])
     with pytest.raises(ValueError, match=re.escape("expected an integer, got '0'")):
         Bijection.make([1, "0"])
+
+
+@pytest.mark.parametrize("values, error, message", [
+    ([1, 0, 1], NotAPermutation, "value 1 at position 2"),
+    ([0, -1], NotAPermutation, "value -1 at position 1"),
+    ([2**40, 0], NotAPermutation, "value 1099511627776 at position 0"),
+    ([0, np.int64(2**40)], NotAPermutation, "value 1099511627776 at position 1"),
+    ([1.9, 0], ValueError, "expected an integer, got 1.9"),
+    ([0, "0"], ValueError, "expected an integer, got '0'"),
+])
+def test_bijection_make_refuses_with_the_same_type_and_message(values, error, message):
+    with pytest.raises(error) as exc:
+        Bijection.make(values)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_bijection_has_no_unchecked_constructor():
+    with pytest.raises(TypeError):
+        Bijection((0, 0), (1, 1))

@@ -44,7 +44,7 @@ from dybmaps.cli import main
 def reference_build_dyb(t: Triple):
     """(phi, r) of the triple construction, entry by entry."""
     n = t.L.order
-    mul, ld, p, q, mt = t.L.rows, t.L.ldiv, t.pi.map, t.pi.inverse, t.M.table
+    mul, ld, p, q, mt = t.L.rows, t.L.ldiv, t.pi.map.tolist(), t.pi.inverse.tolist(), t.M.table
     r = []
     for lam in range(n):
         lam_rows = []
@@ -64,7 +64,7 @@ def reference_build_dyb(t: Triple):
 def reference_build_theta_dyb(LP, G, pi: Bijection):
     """(phi, r) of the loop/group construction, entry by entry."""
     n = LP.order
-    lmul, ld, gmul, gld, p, q = LP.rows, LP.ldiv, G.rows, G.ldiv, pi.map, pi.inverse
+    lmul, ld, gmul, gld, p, q = LP.rows, LP.ldiv, G.rows, G.ldiv, pi.map.tolist(), pi.inverse.tolist()
     e_g = classify_structure(G.base).identity
     ginv = tuple(gld[g][e_g] for g in range(n))
     theta, theta_inv = [], []
@@ -240,7 +240,7 @@ def reference_direct_product(M1, M2):
 
 def reference_reconstruct_G(t, cls, lam):
     """(G, pi_prime) of reconstruct_G, entry by entry, once the class holds."""
-    n, mul, ld, p, q, mu = t.L.order, t.L.rows, t.L.ldiv, t.pi.map, t.pi.inverse, t.M.mu
+    n, mul, ld, p, q, mu = t.L.order, t.L.rows, t.L.ldiv, t.pi.map.tolist(), t.pi.inverse.tolist(), t.M.mu
     if cls == "A1":
         star = lambda a, b: ld[lam][q[mu(p[mul[lam][a]], p[lam], p[mul[lam][b]])]]
     elif cls == "A2":
@@ -267,7 +267,8 @@ def reference_classify_structure(t):
 def reference_gauge(L1, L2, pi1, pi2):
     """J[lam1][u][v] of build_correspondence, entry by entry."""
     n, mul1, ld2 = L1.order, L1.rows, L2.ldiv
-    rho = tuple(pi2.inverse[pi1.map[i]] for i in range(n))
+    p1, q2 = pi1.map.tolist(), pi2.inverse.tolist()
+    rho = tuple(q2[p1[i]] for i in range(n))
     J = []
     for lam1 in range(n):
         lam_rows = []
@@ -291,7 +292,7 @@ def pairs_of(J):
 
 def reference_vertex_structure(G, pi):
     """u o v = pi^-1(pi(u) * pi(v)), entry by entry."""
-    n, p, q, gmul = G.order, pi.map, pi.inverse, G.rows
+    n, p, q, gmul = G.order, pi.map.tolist(), pi.inverse.tolist(), G.rows
     return lq([[q[gmul[p[u]][p[v]]] for v in range(n)] for u in range(n)])
 
 

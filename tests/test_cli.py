@@ -237,6 +237,14 @@ def test_build_order_mismatch_exits_2(capsys, files, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_build_pi_entry_beyond_int32_exits_2(capsys, files, tmp_path):
+    p = tmp_path / "pi.json"
+    p.write_text('{"kind":"bijection","order":3,"map":[0,1099511627776,2]}\n')
+    code, out, err = run(capsys, "build", "--L", files["t1"], "--M", files["mu1"], "--pi", str(p))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "1099511627776" in err and "Traceback" not in err
+
+
 def test_extract_round_trip(capsys, files, tmp_path):
     out_file = str(tmp_path / "R.json")
     run(capsys, "build", "--L", files["t1"], "--M", files["mu1"],

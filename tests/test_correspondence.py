@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from dybmaps import (
     M1M2Violation,
     NotQuasigroup,
     OrderMismatch,
+    ShapeMismatch,
     TernaryTable,
     Triple,
     build_correspondence,
@@ -76,6 +78,31 @@ def test_gauge_is_one_read_only_int32_array():
     # instances compare and hash by identity
     assert inst == inst and hash(inst) == hash(inst)
     assert inst != dataclasses.replace(inst)
+
+
+def test_gauge_of_wrong_shape_or_entries_is_refused():
+    inst = build_correspondence(TABLE1, shift(3), MU1, ID3, BIJ3[3])
+    # a (2, 4, 4, 4) J once gave a false pass, a (2, 2, 2, 2) one an IndexError
+    for shape in ((2, 4, 4, 4), (2, 2, 2, 2)):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"gauge of shape {shape}, expected (2, 3, 3, 3)")):
+            dataclasses.replace(inst, J=np.zeros(shape, np.int32))
+    with pytest.raises(ValueError, match="gauge entries must be integers, got dtype float64"):
+        dataclasses.replace(inst, J=inst.J.astype(np.float64))
+    for bad in (-1, 3):
+        J = inst.J.copy()
+        J[1, 2, 0, 1] = bad
+        with pytest.raises(ValueError, match=re.escape("gauge entry out of range 0..2")):
+            dataclasses.replace(inst, J=J)
+
+
+def test_gauge_is_stored_read_only_int32_and_copied_only_when_needed():
+    inst = build_correspondence(TABLE1, shift(3), MU1, ID3, BIJ3[3])
+    assert dataclasses.replace(inst).J is inst.J
+    for J in (inst.J.copy(), inst.J.astype(np.int64), inst.J.tolist()):
+        again = dataclasses.replace(inst, J=J)
+        assert again.J.dtype == np.int32 and not again.J.flags.writeable
+        assert np.array_equal(again.J, inst.J) and again.J is not J
+        assert verify_irf_irf(again)
 
 
 def test_gauge_identity_at_order_12_reads_as_on_the_loop(monkeypatch):

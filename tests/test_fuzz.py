@@ -1,9 +1,10 @@
 """Property tests of the JSON boundary with hypothesis: round trips, one-entry
 corruptions against the per-entry reference reader, the codec of maps and
 tables against `json`, the CLI's exit-2 contract for malformed documents,
-and the table constructors' whole-table range checks against their entry
-loops.  Example counts are bounded and the examples derandomized, so that
-the suite stays fast and repeatable."""
+the table constructors' whole-table range checks against their entry
+loops, and bijections against a pure-Python reference.  Example counts are
+bounded and the examples derandomized, so that the suite stays fast and
+repeatable."""
 
 import contextlib
 import io
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from test_serialize import KINDS, _set, read_as, reference_rejection, rejection
 
-from dybmaps import Bijection, BinaryTable, DynamicalMap, TernaryTable, serialize
+from dybmaps import Bijection, BinaryTable, DynamicalMap, IndexOutOfRange, TernaryTable, serialize
 from dybmaps.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -294,3 +295,30 @@ def test_ternary_constructor_matches_the_entry_loop(n, table):
 @pytest.mark.parametrize("rows", ODD_BINARY, ids=repr)
 def test_binary_constructor_matches_the_entry_loop(rows):
     assert outcome(BinaryTable, rows) == outcome(reference_binary_check, rows)
+
+
+def _reference_inverse(m: list[int]) -> list[int]:
+    return [m.index(x) for x in range(len(m))]
+
+
+@FUZZ
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_bijection_agrees_with_a_pure_python_reference(perms):
+    a, b = map(list, perms)
+    f, g = Bijection.make(a), Bijection.make(tuple(b))
+    expected = {f: a, g: b, f.invert(): _reference_inverse(a), f.compose(g): [a[x] for x in b],
+                g.compose(f).invert(): _reference_inverse([b[x] for x in a]), Bijection.identity(len(a)): sorted(a)}
+    for h, m in expected.items():
+        assert h.map.tolist() == m and h.inverse.tolist() == _reference_inverse(m)
+        for array in (h.map, h.inverse):
+            assert array.dtype == np.int32 and not array.flags.writeable
+        assert h.order == len(m) and [h(x) for x in range(len(m))] == m
+        assert all(type(h(x)) is int for x in range(len(m)))
+        for x in (-1, len(m)):
+            with pytest.raises(IndexOutOfRange):
+                h(x)
+        # equality and hashing by content, not by identity
+        same = Bijection.make(m)
+        assert h == same and hash(h) == hash(same) and same in expected
+    assert (f == g) == (a == b) and (f != g) == (a != b)
+    assert f.compose(f.invert()) == f.invert().compose(f) == Bijection.identity(len(a))
