@@ -1,4 +1,5 @@
-"""Finite binary structures: Cayley tables, left quasigroups, bijections.
+"""Finite binary structures: Cayley tables, left quasigroups (a table with
+its left division), bijections.
 
 Elements are always 0-based indices 0..n-1.  Tables written in the
 literature with 1-based labels translate by subtracting 1 everywhere.
@@ -50,7 +51,7 @@ class BinaryTable(Arrays):
     passes its range test without being an int (True, 0.5) as int32 does.
     """
 
-    __slots__ = ("order", "array")
+    __slots__ = ("array",)
     _arrays = ("array",)
 
     def __init__(self, rows):
@@ -70,15 +71,15 @@ class BinaryTable(Arrays):
                         raise ValueError(f"entry ({u},{v}) = {x} out of range 0..{n - 1}")
         self._bind(np.array(rows, np.int32))
 
-    def _bind(self, array: np.ndarray) -> None:
-        array.setflags(write=False)
-        self.order, self.array = array.shape[0], array
-
     @classmethod
     def from_rows(cls, rows) -> BinaryTable:
         """The table of nested sequences of integers (ValueError for any
         other entry, a float or a string included)."""
         return cls(tuple(tuple(map(integer, row)) for row in rows))
+
+    @property
+    def order(self) -> int:
+        return len(self.array)
 
     @property
     def rows(self) -> Rows:
@@ -91,35 +92,28 @@ class BinaryTable(Arrays):
         return int(self.array[u, v])
 
 
-class LeftQuasigroup(Arrays):
+class LeftQuasigroup(BinaryTable):
     """A table whose rows are permutations, with its left division.
 
     `division[u, w]`, a read-only (n, n) int32 array, is the unique v with
     u*v = w; `ldiv[u][w]` is the same as nested tuples, made anew on each
-    use, and `array` is the base's.  `LeftQuasigroup(base, ldiv)` keeps the
-    division it is given, unchecked; validate_left_quasigroup derives it.
+    use, and `base` is the table alone.  validate_left_quasigroup is the
+    one constructor: it checks the rows and derives the division.
     """
 
-    __slots__ = ("order", "base", "array", "division")
+    __slots__ = ("division",)
     _arrays = ("array", "division")
 
-    def __init__(self, base: BinaryTable, ldiv):
-        self._bind(base, np.array(ldiv, np.int32))
-
-    def _bind(self, base: BinaryTable, division: np.ndarray) -> None:
-        division.setflags(write=False)
-        self.order, self.base, self.array, self.division = base.order, base, base.array, division
+    def __init__(self, *args):
+        raise TypeError("a LeftQuasigroup is made by validate_left_quasigroup")
 
     @property
-    def rows(self) -> Rows:
-        return self.base.rows
+    def base(self) -> BinaryTable:
+        return BinaryTable._of(self.array)
 
     @property
     def ldiv(self) -> Rows:
         return tuple(map(tuple, self.division.tolist()))
-
-    def mul(self, u: int, v: int) -> int:
-        return self.base.mul(u, v)
 
     def left_div(self, u: int, w: int) -> int:
         n = self.order
@@ -163,6 +157,8 @@ class Bijection(Arrays):
 
     @classmethod
     def identity(cls, n: int) -> Bijection:
+        if n < 0:
+            raise ValueError(f"order must be >= 0, got {n}")
         ident = np.arange(n, dtype=np.int32)
         return cls._of(ident, ident)
 
@@ -201,7 +197,7 @@ def validate_left_quasigroup(t: BinaryTable) -> LeftQuasigroup:
     if np.sort(mul, axis=1).tobytes() != _permutation_rows(t.order):
         u, row = next((u, row) for u, row in enumerate(mul.tolist()) if len(set(row)) < len(row))
         raise NotLeftQuasigroup(u, next(w for v, w in enumerate(row) if w in row[:v]))
-    return LeftQuasigroup._of(t, mul.argsort(axis=1).astype(np.int32))
+    return LeftQuasigroup._of(mul, mul.argsort(axis=1).astype(np.int32))
 
 
 def classify_structure(t: BinaryTable) -> StructureFlags:

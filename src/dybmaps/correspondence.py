@@ -9,7 +9,7 @@ map in class D1 admits one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +42,8 @@ class CorrespondenceInstance:
     Construction (`dataclasses.replace` too) refuses a J of another shape
     (ShapeMismatch) or with entries that are not integers in 0..n-1
     (ValueError), and stores it read-only as int32, copied only if it is
-    writable or of another dtype.  Instances compare and hash by identity.
+    writable or of another dtype; pickling and copying rebuild through the
+    constructor.  Instances compare and hash by identity.
     """
 
     L1: LeftQuasigroup
@@ -66,6 +67,9 @@ class CorrespondenceInstance:
             J = J.astype(np.int32)
             J.setflags(write=False)
             object.__setattr__(self, "J", J)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def order(self) -> int:
@@ -178,7 +182,7 @@ def eq26_family(G: LeftQuasigroup) -> DynamicalMap:
     triple construction for (that structure, variant-1 table of G, id)
     entry-for-entry, and determines lam whenever |G| > 1.
     """
-    flags = classify_structure(G.base)
+    flags = classify_structure(G)
     if not flags.is_quasigroup:
         raise NotQuasigroup("columns are not permutations")
     check_binary_condition(G, "LQ1").require(LQ1Violation)

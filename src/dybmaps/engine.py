@@ -339,7 +339,7 @@ def extract_mu_L(R: DynamicalMap) -> TernaryTable:
     a = _axes((n, n, n))[0]
     # mu(a, b, c) = a * xi(a, a\\b, b\\c)
     xi = R.pairs[1].take((a * n + ld[:, :, None]) * n + ld)
-    return TernaryTable._of(n, R.shift.take(a * n + xi).reshape(-1))
+    return TernaryTable._of(R.shift.take(a * n + xi).reshape(-1))
 
 
 def check_D_class(R: DynamicalMap, cls: str) -> CheckResult:
@@ -450,10 +450,10 @@ def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:
     """
     LP = _as_left_quasigroup(LP)
     G = _as_left_quasigroup(G)
-    flags_lp = classify_structure(LP.base)
+    flags_lp = classify_structure(LP)
     if not flags_lp.is_loop:
         raise NotALoop("first structure has no two-sided unit or is not a quasigroup")
-    flags_g = classify_structure(G.base)
+    flags_g = classify_structure(G)
     if not flags_g.is_group:
         raise NotAGroup("second structure is not an associative loop")
     if LP.order != G.order or pi.order != LP.order:

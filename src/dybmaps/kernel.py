@@ -36,16 +36,17 @@ FAILS = -2
 class Arrays:
     """Base of the package's tables, maps and bijections, each held in
     read-only int32 arrays, the attributes `_arrays` names.  `_of` makes
-    one, unchecked, from arrays that a builder made valid, through `_bind`;
-    equality and hashing are by content."""
+    one, unchecked, from the arrays `_arrays` names, in that order, that a
+    builder made valid; it freezes them.  Equality and hashing are by
+    content, and pickling and copying rebuild through `_of`."""
 
     __slots__ = ()
     _arrays: tuple[str, ...]
 
     @classmethod
-    def _of(cls, *args):
+    def _of(cls, *arrays: np.ndarray):
         obj = cls.__new__(cls)
-        obj._bind(*args)
+        obj._bind(*arrays)
         return obj
 
     def _bind(self, *arrays: np.ndarray) -> None:
@@ -53,6 +54,9 @@ class Arrays:
         for name, array in zip(self._arrays, arrays):
             array.setflags(write=False)
             setattr(self, name, array)
+
+    def __reduce__(self):
+        return self._of, tuple(getattr(self, a) for a in self._arrays)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasigroup
 from .engine import Triple, build_dyb, verify_qdybe
-from .errors import OrderTooLarge
+from .errors import OrderMismatch, OrderTooLarge
 from .kernel import FAILS, probe
 from .ternary import _TERNARY, TernaryTable, braid_check, satisfies_m1m2
 
@@ -93,7 +93,7 @@ def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     for prefix in product(range(len(perms)), repeat=n - 1):
         rows[:, :-1] = prefix
         for mul, div in zip(perms[rows], inverses[rows]):
-            yield LeftQuasigroup._of(BinaryTable._of(mul), div)
+            yield LeftQuasigroup._of(mul, div)
 
 
 def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
@@ -109,7 +109,7 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
 
     def walk(used: int) -> Iterator[LeftQuasigroup]:
         if len(rows) == n:
-            yield LeftQuasigroup._of(BinaryTable._of(perms.take(rows, 0)), inverses.take(rows, 0))
+            yield LeftQuasigroup._of(perms.take(rows, 0), inverses.take(rows, 0))
             return
         for perm, mask in enumerate(masks):
             if not mask & used:
@@ -190,12 +190,12 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
                 cell += 1
                 yield None
             else:
-                yield TernaryTable._of(n, np.array(tab, np.int32))
+                yield TernaryTable._of(np.array(tab, np.int32))
 
 
 def _all_ternary_tables(n: int) -> Iterator[TernaryTable]:
     """All n^(n^3) ternary tables of order n, in lexicographic order."""
-    return (TernaryTable._of(n, np.array(flat, np.int32)) for flat in product(range(n), repeat=n**3))
+    return (TernaryTable._of(np.array(flat, np.int32)) for flat in product(range(n), repeat=n**3))
 
 
 def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso) -> SearchReport:
@@ -330,7 +330,7 @@ def _shape(x) -> tuple[int, int]:
     """(order, number of arguments) of a table `canonicalize` takes."""
     if isinstance(x, TernaryTable):
         n, axes = x.order, 3
-    elif isinstance(x, (BinaryTable, LeftQuasigroup)):
+    elif isinstance(x, BinaryTable):
         n, axes = x.order, 2
     else:
         raise TypeError(f"cannot canonicalize {type(x).__name__}")
@@ -349,7 +349,7 @@ def _like(x, entries: np.ndarray):
     """The table of x's kind whose entries, in row-major order, are `entries`."""
     n, table = x.order, entries.astype(np.int32)
     if isinstance(x, TernaryTable):
-        return TernaryTable._of(n, table)
+        return TernaryTable._of(table)
     canon = BinaryTable._of(table.reshape(n, n))
     return validate_left_quasigroup(canon) if isinstance(x, LeftQuasigroup) else canon
 
@@ -493,7 +493,7 @@ def census_theorem31(
     identities, (b) the unchecked build passes the equation check, and
     (c) the braid check passes, then asserts the three columns agree.
     Exhaustive for n <= 2; pass `sample` for a seeded random census at
-    larger orders.
+    larger orders.  L and pi must be of order n (OrderMismatch).
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
@@ -503,6 +503,8 @@ def census_theorem31(
         )
     if pi is None:
         pi = Bijection.identity(n)
+    if not L.order == n == pi.order:
+        raise OrderMismatch(f"orders differ: L={L.order}, M={n}, pi={pi.order}")
     t0 = time.perf_counter()
     if sample is None:
         if n > MAX_TERNARY_EXHAUSTIVE_ORDER:

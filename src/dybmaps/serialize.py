@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binary import BinaryTable, Bijection, LeftQuasigroup
+from .binary import BinaryTable, Bijection
 from .engine import DynamicalMap
 from .kernel import require_shape
 from .ternary import TernaryTable
@@ -45,8 +45,6 @@ from .ternary import TernaryTable
 def _numbers(obj) -> tuple[str, tuple[int, ...], list[np.ndarray]]:
     """(kind, orders, lists) of `to_jsonable(obj)`, its list fields as arrays
     in document order."""
-    if isinstance(obj, LeftQuasigroup):
-        obj = obj.base
     if isinstance(obj, DynamicalMap):
         return "dynmap", obj.shift.shape, [obj.shift, obj.pairs.transpose(1, 2, 3, 0)]
     if isinstance(obj, BinaryTable):
@@ -348,7 +346,7 @@ def _make(kind: str, orders: tuple[int, ...], values: np.ndarray):
         return Bijection.make(entries.tolist())
     if kind == "binary":
         return BinaryTable._of(entries.reshape(n, n))
-    return TernaryTable._of(n, entries)
+    return TernaryTable._of(entries)
 
 
 def dumps(obj) -> str:

@@ -50,14 +50,14 @@ MU_G_PRECONDITIONS = {1: ("LQ1",), 2: ("LQ1",), 3: ("LQ22", "LQ21")}
 class TernaryTable(Arrays):
     """An n^3 operation table, flat, row-major in (a, b, c).
 
-    The table is one read-only int32 array of its n^3 entries, `array`;
-    `table` is the same as a tuple, made anew on each use.
+    The table is one read-only int32 array of its n^3 entries, `array`, and
+    n is read off its length; `table` is the same as a tuple, made anew.
     `TernaryTable(n, table)` checks the length and range of a flat sequence,
     and stores an entry that passes its range test without being an int
     (True, 0.5) as int32 does.
     """
 
-    __slots__ = ("order", "array")
+    __slots__ = ("array",)
     _arrays = ("array",)
 
     def __init__(self, order: int, table):
@@ -70,11 +70,7 @@ class TernaryTable(Arrays):
             for i, x in enumerate(table):
                 if not 0 <= x < n:
                     raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
-        self._bind(n, np.array(table, np.int32))
-
-    def _bind(self, n: int, array: np.ndarray) -> None:
-        array.setflags(write=False)
-        self.order, self.array = n, array
+        self._bind(np.array(table, np.int32))
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int, int], int]) -> TernaryTable:
@@ -85,6 +81,10 @@ class TernaryTable(Arrays):
         """The table of a flat sequence of integers (ValueError for any other
         entry, a float or a string included)."""
         return cls(n, tuple(map(integer, entries)))
+
+    @property
+    def order(self) -> int:
+        return round(len(self.array) ** (1 / 3))
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -131,7 +131,7 @@ def make_mu_g(G: LeftQuasigroup, variant: int, checked: bool = True) -> TernaryT
         table = mul.T.take(ld.T, axis=0)
     else:  # mul[b, ld[a, c]]
         table = np.ascontiguousarray(mul.take(ld, axis=1).transpose(1, 0, 2))
-    return TernaryTable._of(G.order, table.reshape(-1))
+    return TernaryTable._of(table.reshape(-1))
 
 
 def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
@@ -139,6 +139,8 @@ def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
 
     The middle position requires f to be idempotent (f(f(x)) = f(x)).
     """
+    if n < 1:
+        raise ValueError("order must be >= 1")
     fm = tuple(map(integer, f))
     if len(fm) != n or any(not 0 <= x < n for x in fm):
         raise ValueError("f must map 0..n-1 into 0..n-1")
@@ -154,7 +156,7 @@ def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
         table = np.tile(image.repeat(n), n)
     else:
         raise ValueError(f"position must be first, middle or third, got {position!r}")
-    return TernaryTable._of(n, table)
+    return TernaryTable._of(table)
 
 
 def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
@@ -167,7 +169,7 @@ def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
     # with a = a1*n2 + a2 and likewise b, c
     mu1 = M1.array.reshape(n1, 1, n1, 1, n1, 1)
     mu2 = M2.array.reshape(1, n2, 1, n2, 1, n2)
-    return TernaryTable._of(n1 * n2, (mu1 * n2 + mu2).reshape(-1))
+    return TernaryTable._of((mu1 * n2 + mu2).reshape(-1))
 
 
 def is_ternary_hom(h, M: TernaryTable, M2: TernaryTable) -> CheckResult:

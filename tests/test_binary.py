@@ -10,6 +10,7 @@ from dybmaps import (
     Bijection,
     BinaryTable,
     IndexOutOfRange,
+    LeftQuasigroup,
     NotAPermutation,
     NotLeftQuasigroup,
     check_binary_condition,
@@ -212,3 +213,23 @@ def test_bijection_make_refuses_with_the_same_type_and_message(values, error, me
 def test_bijection_has_no_unchecked_constructor():
     with pytest.raises(TypeError):
         Bijection((0, 0), (1, 1))
+
+
+def test_bijection_identity_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be >= 0, got -2"):
+        Bijection.identity(-2)
+    assert Bijection.identity(0).order == 0
+
+
+def test_left_quasigroup_is_a_table_with_its_division():
+    assert issubclass(LeftQuasigroup, BinaryTable)
+    assert not hasattr(TABLE1, "__dict__")
+    assert not any(isinstance(getattr(TABLE1, a), BinaryTable) for a in LeftQuasigroup.__slots__)
+    assert (TABLE1.order, TABLE1.rows, TABLE1.mul(1, 2)) == (3, ((0, 2, 1), (1, 0, 2), (2, 1, 0)), 2)
+    assert type(TABLE1.base) is BinaryTable and TABLE1.base.array is TABLE1.array
+    assert classify_structure(TABLE1) == classify_structure(TABLE1.base)
+    assert TABLE1 != TABLE1.base and validate_left_quasigroup(TABLE1) == TABLE1
+    for make in (lambda: LeftQuasigroup(TABLE1.base, TABLE1.ldiv), lambda: LeftQuasigroup(TABLE1.rows),
+                 lambda: LeftQuasigroup.from_rows(TABLE1.rows)):
+        with pytest.raises(TypeError):
+            make()

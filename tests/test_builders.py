@@ -388,7 +388,7 @@ def test_gauge_and_vertex_structure_match_the_references():
         # a division with a repeat in its last row: the gauge is refused alike
         ldiv = L2.division.copy()
         ldiv[-1, 0] = ldiv[-1, -1]
-        wrong = LeftQuasigroup(L2.base, ldiv)
+        wrong = LeftQuasigroup._of(L2.array, ldiv)
         got = outcome(lambda: pairs_of(build_correspondence(L1, wrong, make_mu_g(G, 1), pi1, pi2).J))
         assert got == outcome(reference_gauge, L1, wrong, pi1, pi2)
         assert n == 1 or got[0] is AlgebraError

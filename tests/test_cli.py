@@ -333,6 +333,15 @@ def test_census_negative_sample_exits_2(capsys):
     assert code == 0 and json.loads(out)["total"] == 0
 
 
+def test_census_of_an_L_or_pi_of_another_order_exits_2(capsys, files, tmp_path):
+    serialize.dump(shift(2).base, tmp_path / "shift2.json")
+    for flag, path, message in [("--L", str(tmp_path / "shift2.json"), "L=2, M=3, pi=3"),
+                                ("--pi", files["id6"], "L=3, M=3, pi=6")]:
+        for sample in ("0", "3"):
+            code, out, err = run(capsys, "census", "--order", "3", flag, path, "--sample", sample)
+            assert (code, out, err) == (2, "", f"error: orders differ: {message}\n")
+
+
 def test_search_left_quasigroups(capsys):
     code, out, _ = run(capsys, "search", "--order", "3", "--target", "left-quasigroups")
     assert code == 0

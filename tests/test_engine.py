@@ -418,7 +418,7 @@ def random_triple(rng, n, ldiv=None):
     """A seeded triple of order n with an unchecked random M; with `ldiv`,
     L is built directly with that table as its left division."""
     base = BinaryTable.from_rows(random_rows(rng, n))
-    L = validate_left_quasigroup(base) if ldiv is None else LeftQuasigroup(base, ldiv)
+    L = validate_left_quasigroup(base) if ldiv is None else LeftQuasigroup._of(base.array, np.array(ldiv, np.int32))
     M = TernaryTable.from_flat(n, [rng.randrange(n) for _ in range(n**3)])
     return Triple(L, M, Bijection.make(rng.sample(range(n), n)))
 
@@ -440,7 +440,7 @@ def test_selfcheck_agrees_with_the_triple_leg_factorisation():
                 wrong.append(t)
     # and one that differs from the true one in two entries
     (a, b, c), *rest = TABLE1.ldiv
-    wrong.append(Triple(LeftQuasigroup(TABLE1.base, ((b, a, c), *rest)), make_mu_g(TABLE1, 1), ID3))
+    wrong.append(Triple(LeftQuasigroup._of(TABLE1.array, np.array(((b, a, c), *rest), np.int32)), make_mu_g(TABLE1, 1), ID3))
     assert len(wrong) > 20
     for t in wrong:
         pair, triple = factorisation_verdicts(t)

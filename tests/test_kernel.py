@@ -1,12 +1,14 @@
 """The identity kernel: loop and slab evaluators, lexicographic witnesses."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from itertools import product
 
 import numpy as np
 import pytest
-from conftest import cyclic, lq
+from conftest import BIJ3, TABLE1, cyclic, lq, shift
 
 from dybmaps import (
     BINARY_CONDITIONS,
@@ -35,8 +37,9 @@ from dybmaps import (
     verify_unitary,
 )
 from dybmaps import binary, correspondence, engine, kernel, ternary
+from dybmaps.correspondence import CorrespondenceInstance
 from dybmaps.engine import DynamicalMap
-from dybmaps.kernel import Identity
+from dybmaps.kernel import Arrays, Identity
 
 
 def declared_identities() -> set:
@@ -345,3 +348,44 @@ def test_probe_refuses_a_declaration_that_unpacks_a_pair():
     # A probe compares each value it reads with -1, which a pair cannot be.
     with pytest.raises(ValueError, match=r"cannot probe `a, b = r\(lam, u, v\)`.*not pairs"):
         kernel.probe(engine._UNITARY, r=[[-1] * 8, [-1] * 8], n=2, h=2)
+
+
+# --- Copies are rebuilt through the constructors that freeze --------------
+
+COPIED = {
+    "binary": lambda: TABLE1.base,
+    "left-quasigroup": lambda: TABLE1,
+    "ternary": lambda: make_mu_g(TABLE1, 1),
+    "bijection": lambda: BIJ3[3],
+    "map": lambda: build_dyb(Triple(TABLE1, make_mu_g(TABLE1, 1), BIJ3[3])),
+    "correspondence": lambda: build_correspondence(TABLE1, shift(3), make_mu_g(TABLE1, 1), BIJ3[0], BIJ3[3]),
+}
+COPIES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+CACHES = {"_tables", "phi", "r", "_invariance"}
+
+
+def held(x):
+    """The array objects x is or holds, and every numpy array among them."""
+    parts = [getattr(x, f.name) for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x) else [x]
+    objects = [p for p in parts if isinstance(p, Arrays)]
+    return objects, [getattr(o, a) for o in objects for a in o._arrays] + [p for p in parts if isinstance(p, np.ndarray)]
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("kind", COPIED)
+def test_copies_keep_their_class_content_and_read_only_arrays(kind, how):
+    x = COPIED[kind]()
+    if isinstance(x, DynamicalMap):
+        x.phi, x.r, x._tables, verify_invariance(x)
+        assert CACHES <= vars(x).keys()
+    y = COPIES[how](x)
+    assert type(y) is type(x)
+    (objects, arrays), (copied, copied_arrays) = held(x), held(y)
+    assert copied == objects and list(map(hash, copied)) == list(map(hash, objects))
+    assert len(copied_arrays) == len(arrays) and all(map(np.array_equal, copied_arrays, arrays))
+    for a in copied_arrays:
+        assert a.dtype == np.int32 and not a.flags.writeable
+    if isinstance(y, DynamicalMap):
+        assert not CACHES & vars(y).keys()
+    if isinstance(y, CorrespondenceInstance):
+        assert verify_irf_irf(y) == verify_irf_irf(x)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from functools import cache
 from itertools import chain, islice, permutations, product
 
@@ -12,6 +13,7 @@ from dybmaps import (
     Bijection,
     BinaryTable,
     LeftQuasigroup,
+    OrderMismatch,
     OrderTooLarge,
     TernaryTable,
     canonicalize,
@@ -725,6 +727,14 @@ def test_census_sample_size_is_not_negative():
         census_theorem31(3, sample=-5)
     rep = census_theorem31(3, sample=0)
     assert (rep.mode, rep.total, rep.num_m1m2, rep.agree) == ("sample", 0, 0, True)
+
+
+def test_census_refuses_an_L_or_pi_of_another_order_before_any_table(monkeypatch):
+    monkeypatch.setattr(search, "_census_tables", None)  # the census loop would raise TypeError
+    for kwargs, message in [({"L": cyclic(2)}, "L=2, M=3, pi=3"), ({"pi": Bijection.identity(4)}, "L=3, M=3, pi=4")]:
+        for sample in (0, 5, None):
+            with pytest.raises(OrderMismatch, match=f"^orders differ: {re.escape(message)}$"):
+                census_theorem31(3, sample=sample, **kwargs)
 
 
 def test_census_order_guard():

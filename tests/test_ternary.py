@@ -1,5 +1,6 @@
 import re
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ def test_make_constant_mu_reads_integers_only():
         make_constant_mu(2, [0, 1.5], "first")
     with pytest.raises(ValueError, match=re.escape("expected an integer, got '1'")):
         make_constant_mu(2, [0, "1"], "third")
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "third"])
+def test_make_constant_mu_refuses_the_orders_the_constructor_refuses(position):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            make_constant_mu(n, [], position)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            TernaryTable(n, [])
+
+
+def test_order_is_read_off_the_array_exactly():
+    assert all(TernaryTable.order.fget(SimpleNamespace(array=range(n**3))) == n for n in range(1, 200_001))
+    assert [make_constant_mu(n, [0] * n, "first").order for n in range(1, 9)] == list(range(1, 9))
 
 
 def test_is_ternary_hom_reads_integers_only():
