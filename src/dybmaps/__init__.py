@@ -85,7 +85,6 @@ from .ternary import (
     is_ternary_hom,
     make_constant_mu,
     make_mu_g,
-    point_maps,
     satisfies_m1m2,
 )
 

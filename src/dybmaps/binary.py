@@ -95,10 +95,10 @@ class BinaryTable(Arrays):
 class LeftQuasigroup(BinaryTable):
     """A table whose rows are permutations, with its left division.
 
-    `division[u, w]`, a read-only (n, n) int32 array, is the unique v with
-    u*v = w; `ldiv[u][w]` is the same as nested tuples, made anew on each
-    use, and `base` is the table alone.  validate_left_quasigroup is the
-    one constructor: it checks the rows and derives the division.
+    `division[u, w]`, a read-only (n, n) int32 array like `array`, is the
+    unique v with u*v = w, and `base` is the table alone.
+    validate_left_quasigroup is the one constructor: it checks the rows and
+    derives the division.
     """
 
     __slots__ = ("division",)
@@ -110,10 +110,6 @@ class LeftQuasigroup(BinaryTable):
     @property
     def base(self) -> BinaryTable:
         return BinaryTable._of(self.array)
-
-    @property
-    def ldiv(self) -> Rows:
-        return tuple(map(tuple, self.division.tolist()))
 
     def left_div(self, u: int, w: int) -> int:
         n = self.order
@@ -213,9 +209,8 @@ def classify_structure(t: BinaryTable) -> StructureFlags:
     identity = int(units[0]) if units.size else None
     is_loop = is_q and identity is not None
 
-    flat = mul.reshape(-1)
-    assoc = check(_ASSOCIATIVE, n=n, mul=flat).holds
-    rdist = check(_RIGHT_DISTRIBUTIVE, n=n, mul=flat).holds
+    assoc = check(_ASSOCIATIVE, n=n, mul=mul).holds
+    rdist = check(_RIGHT_DISTRIBUTIVE, n=n, mul=mul).holds
     return StructureFlags(
         is_left_quasigroup=rows_ok,
         is_quasigroup=is_q,
@@ -234,4 +229,4 @@ def check_binary_condition(G: LeftQuasigroup, cond: str) -> CheckResult:
     """
     if cond not in _BINARY:
         raise ValueError(f"unknown binary condition {cond!r}")
-    return check(_BINARY[cond], cond, n=G.order, mul=G.array.reshape(-1), ld=G.division.reshape(-1))
+    return check(_BINARY[cond], cond, n=G.order, mul=G.array, ld=G.division)

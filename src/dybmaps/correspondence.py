@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup, check_binary_condition, classify_structure, validate_left_quasigroup
-from .engine import DynamicalMap, Triple, build_dyb
+from .engine import DynamicalMap, Triple, build_dyb, extract_mu_L, reconstruct_G
 from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch, ShapeMismatch
 from .kernel import Identity, _axes, check
 from .result import CheckResult
@@ -99,13 +99,12 @@ def build_correspondence(
         check_ternary_condition(M, cond).require(M1M2Violation)
     n = M.order
     rho = pi2.inverse.take(pi1.map)
-    mul1, ld2 = L1.array.reshape(-1), L2.division.reshape(-1)
     # J(lam1)(u, v) = (rho(lam1) \ r0, r0 \ r1), r0 = rho(lam1*v), r1 = rho((lam1*v)*u)
     lam1, u, v = _axes((n, n, n))
-    t0 = mul1.take(lam1 * n + v)
-    r0, r1 = rho.take(t0), rho.take(mul1.take(t0 * n + u))
-    j0 = np.broadcast_to(ld2.take(rho.take(lam1) * n + r0), (n, n, n))
-    j1 = ld2.take(r0 * n + r1)
+    t0 = L1.array.take(lam1 * n + v)
+    r0, r1 = rho.take(t0), rho.take(L1.array.take(t0 * n + u))
+    j0 = np.broadcast_to(L2.division.take(rho.take(lam1) * n + r0), (n, n, n))
+    j1 = L2.division.take(r0 * n + r1)
     codes = np.sort((j0 * n + j1).reshape(n, -1), axis=1)  # each weight's pairs, sorted
     repeats = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
     if repeats.size:
@@ -127,8 +126,7 @@ def build_correspondence(
 
 def verify_irf_irf(c: CorrespondenceInstance) -> CheckResult:
     """Check R1(lam1) = J(lam1)^-1 o swap R2(rho lam1) swap o (swap J(lam1) swap)."""
-    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=c.J.reshape(2, -1),
-                 r1=c.R1.pairs.reshape(2, -1), r2=c.R2.pairs.reshape(2, -1))
+    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=c.J, r1=c.R1.pairs, r2=c.R2.pairs)
 
 
 def is_constant_in_lambda(R: DynamicalMap) -> bool:
@@ -166,8 +164,6 @@ def vertex_counterpart_from_map(
     Recovers a generating left quasigroup from the extracted ternary table
     at the given basepoint and delegates to vertex_counterpart.
     """
-    from .engine import extract_mu_L, reconstruct_G
-
     M = extract_mu_L(R)
     t = Triple(L, M, Bijection.identity(L.order))
     G, pi_prime = reconstruct_G(t, "A1", basepoint)

@@ -52,7 +52,7 @@ A_CLASS_CONDITIONS = {"A1": ("A11", "A12"), "A2": ("A21", "A22"), "A3": ("A31", 
 
 PairRows = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
-# Identities on a map, as lookups into its flat tables: phi(lam, u) is the
+# Identities on a map, as lookups into its arrays: phi(lam, u) is the
 # weight shift, r(lam, u, v) the pair R(lam)(u, v) and eta, xi its two
 # slots; in the invariance and class laws phi is the weight multiplication
 # and ld its left division.
@@ -167,12 +167,11 @@ class DynamicalMap(Arrays):
 
     @cached_property
     def _tables(self) -> dict:
-        """The map as the identity kernel reads it, in views of the two
-        arrays, not copies: sizes n and h, phi(lam, u), r(lam, u, v) the pair
-        R(lam)(u, v) as two rows, and eta, xi those rows."""
-        pairs = self.pairs.reshape(2, -1)
-        return {"n": self.set_order, "h": self.weight_order, "phi": self.shift.reshape(-1),
-                "r": pairs, "eta": pairs[0], "xi": pairs[1]}
+        """The map as the identity kernel reads it, its arrays as they are:
+        sizes n and h, phi(lam, u) the shift, r(lam, u, v) the pair
+        R(lam)(u, v) as the pairs' two slots, and eta, xi those slots."""
+        return {"n": self.set_order, "h": self.weight_order, "phi": self.shift,
+                "r": self.pairs, "eta": self.pairs[0], "xi": self.pairs[1]}
 
     @cached_property
     def _invariance(self) -> CheckResult:
@@ -181,9 +180,10 @@ class DynamicalMap(Arrays):
 
     @cached_property
     def weight_ldiv(self) -> np.ndarray:
-        """Left division of phi read as a multiplication, row-major: lam\\u at
-        lam*n + u, as validate_left_quasigroup derives it.  ShapeMismatch
-        unless phi is a left-quasigroup multiplication."""
+        """Left division of phi read as a multiplication: lam\\u at [lam, u]
+        of an (n, n) array, as validate_left_quasigroup derives it, the
+        layout of LeftQuasigroup.division.  ShapeMismatch unless phi is a
+        left-quasigroup multiplication."""
         if self.weight_order != self.set_order:
             raise ShapeMismatch(
                 f"weight order {self.weight_order} != set order {self.set_order}"
@@ -192,7 +192,7 @@ class DynamicalMap(Arrays):
             L = validate_left_quasigroup(BinaryTable._of(self.shift))
         except NotLeftQuasigroup as exc:
             raise ShapeMismatch(f"phi is not a left-quasigroup multiplication: {exc}") from exc
-        return L.division.reshape(-1)
+        return L.division
 
 
 def _map_arrays(phi, r, declared=None) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +334,7 @@ def extract_mu_L(R: DynamicalMap) -> TernaryTable:
     inv = verify_invariance(R)
     if not inv:
         raise InvarianceViolated(f"invariance fails at {inv.witness}")
-    n = R.set_order
-    ld = R.weight_ldiv.reshape(n, n)
+    n, ld = R.set_order, R.weight_ldiv
     a = _axes((n, n, n))[0]
     # mu(a, b, c) = a * xi(a, a\\b, b\\c)
     xi = R.pairs[1].take((a * n + ld[:, :, None]) * n + ld)
@@ -413,8 +412,8 @@ def is_D_morphism(f, V, V2) -> bool:
     if len(fm) != L.order or any(not 0 <= x < L2.order for x in fm):
         return False
     return bool(
-        check(_HOMOMORPHISM, n=L.order, m=L2.order, f=fm, mul=L.array.reshape(-1), mul2=L2.array.reshape(-1))
-        and check(_INTERTWINES, **R._tables, m=R2.set_order, f=fm, r2=R2.pairs.reshape(2, -1))
+        check(_HOMOMORPHISM, n=L.order, m=L2.order, f=fm, mul=L.array, mul2=L2.array)
+        and check(_INTERTWINES, **R._tables, m=R2.set_order, f=fm, r2=R2.pairs)
     )
 
 
@@ -432,24 +431,21 @@ def conjugation_selfcheck(t: Triple) -> bool:
     independent of M1/M2, so False indicates an implementation bug.
     """
     R = build_dyb(t, checked=False)
-    env = R._tables | {"mul": t.L.array.reshape(-1), "ld": t.L.division.reshape(-1), "mu": t.M.array,
-                      "p": t.pi.map, "q": t.pi.inverse}
+    env = R._tables | {"mul": t.L.array, "ld": t.L.division, "mu": t.M.array, "p": t.pi.map, "q": t.pi.inverse}
     return bool(check(_PAIR_FACTORISATION, **env) and check(_LEFT_DIVISION, **env))
 
 
-def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:
+def build_theta_dyb(LP: LeftQuasigroup, G: LeftQuasigroup, pi: Bijection) -> DynamicalMap:
     """Construct the map of a loop/group pair through translation defects.
 
-    LP must be a loop and G a group (both as LeftQuasigroup or BinaryTable)
-    with pi carrying the unit of LP to the unit of G.  For each u the
+    LP must be a loop and G a group, both left quasigroups, with pi
+    carrying the unit of LP to the unit of G.  For each u the
     translation defect theta(u)(x) = pi(u)^-1 * pi(u * pi^-1(x)) is a
     bijection of G; the second output component is
     pi^-1(theta(lam)^-1(theta(lam*u)(pi(v)))) and the first follows from
     the invariance condition.  The result must agree entry-for-entry with
     the triple construction applied to (LP, variant-1 table of G, pi).
     """
-    LP = _as_left_quasigroup(LP)
-    G = _as_left_quasigroup(G)
     flags_lp = classify_structure(LP)
     if not flags_lp.is_loop:
         raise NotALoop("first structure has no two-sided unit or is not a quasigroup")
@@ -474,11 +470,3 @@ def build_theta_dyb(LP, G, pi: Bijection) -> DynamicalMap:
     xi = q[theta_inv[lam, theta[lu, p[v]]]]
     eta = ld[lmul[lam, xi], lmul[lu, v]]
     return DynamicalMap._of(lmul, np.stack((eta, xi)))
-
-
-def _as_left_quasigroup(x) -> LeftQuasigroup:
-    if isinstance(x, LeftQuasigroup):
-        return x
-    if isinstance(x, BinaryTable):
-        return validate_left_quasigroup(x)
-    return validate_left_quasigroup(BinaryTable.from_rows(x))

@@ -248,12 +248,15 @@ class Identity:
     """`body` holds for every value of the space-separated `variables`.
 
     `body` is assignments ending in `lhs == rhs`, whose sides may be tuples
-    compared componentwise; `T(x, y, z)` reads the flat row-major table T at
-    `(x*n + y)*n + z`, and a table with another stride is subscripted
-    explicitly.  `a, b = T(...)` unpacks an entry of a table of pairs, which
-    is given as its two rows: a (2, N) array or two flat sequences.  A
-    variable `x` ranges over 0..n-1 and `x:h` over 0..h-1, where h is a
-    name supplied with the tables or a number read literally.
+    compared componentwise.  A table is read in row-major order, whatever
+    its shape: `T(x, y, z)` reads T's entry `(x*n + y)*n + z`, and a table
+    with another stride is subscripted explicitly at its flat index, so an
+    (n, n, n) array, its flat view and a flat sequence are read alike.
+    `a, b = T(...)` unpacks an entry of a table of pairs, which is given as
+    its two rows: an array whose first axis has length 2, as a map holds
+    its pairs, or two flat sequences.  A variable `x` ranges over 0..n-1
+    and `x:h` over 0..h-1, where h is a name supplied with the tables or a
+    number read literally.
     """
 
     def __init__(self, variables: str, body: str):
@@ -288,14 +291,19 @@ class Identity:
             placed[at].append(f"{src(s.targets[0])} = {src(value)}")
         pairs_scan = [(src(_hoist(a, k, level, placed, temps)), src(_hoist(b, k, level, placed, temps)))
                       for a, b in pairs]
-        # The loop reads an array as its list, and a table of pairs as a list
-        # of pairs, each made once per check; slabs read tables as int32.
+        # The loop reads an array as its flat list, and a table of pairs as a
+        # list of pairs, each made once per check; slabs read tables as flat
+        # int32 arrays, a table of pairs as two rows.
         tables = {x.value.id for x in ast.walk(tree) if isinstance(x, ast.Subscript)}
         paired = {src(s.value.value) for s in steps if _reads_pair(s)}
+        flat = {t: "2, -1" if t in paired else "-1" for t in tables}
         lines = ["def scan(_env):"]
         for p in params:
-            rows = f"({p}.tolist() if type({p}) is ndarray else {p})"
-            lines.append(f"    {p} = _env[{p!r}]; {p} = {f'list(zip(*{rows}))' if p in paired else rows}")
+            line = f"    {p} = _env[{p!r}]"
+            if p in tables:
+                rows = f"({p}.reshape({flat[p]}).tolist() if type({p}) is ndarray else {p})"
+                line += f"; {p} = {f'list(zip(*{rows}))' if p in paired else rows}"
+            lines.append(line)
         lines += [f"    _r{i} = range({s if type(s) is int else f'_env[{s!r}]'})"
                   for i, s in enumerate(self.sizes)]
         lines += ["    " + s for s in placed[0]]
@@ -308,15 +316,15 @@ class Identity:
             "    return None",
         ]
 
-        # slab_of(tables) runs once per check: it reads each table as int32,
+        # slab_of(tables) runs once per check: it reads each table as flat int32,
         # views each table whose rows are gathered (_Gathers) as rows of n,
         # and returns the slab, a function of the variables.
         gathers = _Gathers(self.variables[-1] if self.sizes[-1] == "n" else None, level, paired)
         *steps, equation = [gathers.visit(s) for s in ast.parse(textwrap.dedent(self.body)).body]
         lines += [
             f"def slab_of({', '.join(params)}):",
-            *(f"    {t} = asarray({t}, int32)" for t in sorted(tables)),
-            *(f"    _rows_{t} = {t}.reshape({'2, ' if t in paired else ''}-1, n)" for t in sorted(gathers.rows)),
+            *(f"    {t} = asarray({t}, int32).reshape({flat[t]})" for t in sorted(tables)),
+            *(f"    _rows_{t} = {t}.reshape({flat[t]}, n)" for t in sorted(gathers.rows)),
             f"    def slab({', '.join(self.variables)}):",
             *("        " + src(s) for s in steps),
             "        return " + " | ".join(f"({src(a)} != {src(b)})" for a, b in _sides(equation)),
@@ -371,8 +379,9 @@ class Identity:
 
 def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
     """Evaluate `ident` exhaustively; a failure carries the first witness and
-    `label`.  `env` supplies every table (an int32 array or a flat
-    sequence), size and constant the declaration names, `n` included."""
+    `label`.  `env` supplies every table (an int32 array of any shape, read
+    in row-major order, or a flat sequence), size and constant the
+    declaration names, `n` included."""
     witness = _first_failure(ident, env)
     return PASS if witness is None else CheckResult(False, witness, label)
 
@@ -384,9 +393,10 @@ def probe(ident: Identity, **env):
     lookups in evaluation order, each after those its index depends on, and
     returns HOLDS, FAILS, or the index of the first unset cell it read.  The
     part of each index that reads only the instance's point is computed
-    once, when the probe is made; the tables in `env` are read anew at each
-    call, so they may be filled in place between calls.  Defined for tables
-    of single values: a declaration that unpacks a pair is a ValueError."""
+    once, when the probe is made; the tables in `env`, held flat, are read
+    anew at each call, so they may be filled in place between calls.
+    Defined for tables of single values: a declaration that unpacks a pair
+    is a ValueError."""
     return ident._probe(env)
 
 

@@ -307,7 +307,7 @@ def _classify_up_to_iso(report: SearchReport) -> None:
         forms = forms[np.lexsort(forms.T[::-1])]
         distinct = np.ones(len(forms), bool)
         distinct[1:] = (forms[1:] != forms[:-1]).any(axis=1)
-        report.representatives = [_like(tables[0], row) for row in forms[distinct]]
+        report.representatives = _like(tables[0], n, forms[distinct])
     report.up_to_iso = len(report.representatives)
 
 
@@ -323,7 +323,7 @@ def canonicalize(x):
     """
     n, axes = _shape(x)
     forms, auts = _least_forms(_stack([x], n, axes), n, axes)
-    return _like(x, forms[0]), int(auts[0])
+    return _like(x, n, forms)[0], int(auts[0])
 
 
 def _shape(x) -> tuple[int, int]:
@@ -345,13 +345,14 @@ def _stack(tables, n: int, axes: int) -> np.ndarray:
     return np.array([t.array for t in tables], np.uint8).reshape(len(tables), n**axes)
 
 
-def _like(x, entries: np.ndarray):
-    """The table of x's kind whose entries, in row-major order, are `entries`."""
-    n, table = x.order, entries.astype(np.int32)
+def _like(x, n: int, forms: np.ndarray) -> list:
+    """The tables of x's kind and order n whose entries, in row-major order,
+    are the rows of `forms`: one conversion and one kind test per block."""
+    tables = forms.astype(np.int32)
     if isinstance(x, TernaryTable):
-        return TernaryTable._of(table)
-    canon = BinaryTable._of(table.reshape(n, n))
-    return validate_left_quasigroup(canon) if isinstance(x, LeftQuasigroup) else canon
+        return list(map(TernaryTable._of, tables))
+    tables = map(BinaryTable._of, tables.reshape(len(tables), n, n))
+    return list(map(validate_left_quasigroup, tables) if isinstance(x, LeftQuasigroup) else tables)
 
 
 @cache

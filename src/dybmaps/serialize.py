@@ -227,6 +227,10 @@ def _render(obj) -> bytes:
     the skeleton with each number's digits written at its slot, shifted by
     the digits of the numbers before it."""
     kind, orders, lists = _numbers(obj)
+    if not all(a.size for a in lists):
+        # The order-0 bijection's `[]` would read as the slot of a list of
+        # one; its document has no entry to write.
+        return encode(to_jsonable(obj)).encode()
     skel = _skeleton(kind, _fields(kind, orders), b",", b":")
     values = np.empty(len(orders) + sum(a.size for a in lists), np.int32)
     values[:len(orders)] = orders

@@ -185,22 +185,6 @@ def is_ternary_hom(h, M: TernaryTable, M2: TernaryTable) -> CheckResult:
     return check(_HOM, n=M.order, m=M2.order, h=hm, mu=M.array, mu2=M2.array)
 
 
-def point_maps(M: TernaryTable, a: int):
-    """The pair map fixing a and the middle-slot triple map.
-
-    Returns (s_a, s) with s_a(x, y) = (mu(a,x,y), y) and
-    s(x, y, z) = (x, mu(x,y,z), z).
-    """
-
-    def s_a(x: int, y: int) -> tuple[int, int]:
-        return (M.mu(a, x, y), y)
-
-    def s(x: int, y: int, z: int) -> tuple[int, int, int]:
-        return (x, M.mu(x, y, z), z)
-
-    return s_a, s
-
-
 def braid_check(M: TernaryTable) -> CheckResult:
     """Check s(a)_12 s s(a)_12 = s s(a)_12 s on all triples, for every a.
 

@@ -22,14 +22,14 @@ from dybmaps.kernel import Identity, check
 
 
 def test_table1_validates_with_expected_division():
-    assert TABLE1.ldiv == ((0, 2, 1), (1, 0, 2), (2, 1, 0))
+    assert TABLE1.division.tolist() == [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
     # 1-based row 2 divisions (2\1, 2\2, 2\3) = (2, 1, 3)
-    assert TABLE1.ldiv[1] == (1, 0, 2)
+    assert TABLE1.division[1].tolist() == [1, 0, 2]
 
 
 def test_singleton_and_projection_tables_validate():
     one = validate_left_quasigroup(BinaryTable.from_rows([[0]]))
-    assert one.ldiv == ((0,),)
+    assert one.division.tolist() == [[0]]
     proj = validate_left_quasigroup(BinaryTable.from_rows([[0, 1], [0, 1]]))
     assert proj.order == 2
     flags = classify_structure(proj.base)
@@ -229,7 +229,15 @@ def test_left_quasigroup_is_a_table_with_its_division():
     assert type(TABLE1.base) is BinaryTable and TABLE1.base.array is TABLE1.array
     assert classify_structure(TABLE1) == classify_structure(TABLE1.base)
     assert TABLE1 != TABLE1.base and validate_left_quasigroup(TABLE1) == TABLE1
-    for make in (lambda: LeftQuasigroup(TABLE1.base, TABLE1.ldiv), lambda: LeftQuasigroup(TABLE1.rows),
+    for make in (lambda: LeftQuasigroup(TABLE1.base, TABLE1.division), lambda: LeftQuasigroup(TABLE1.rows),
                  lambda: LeftQuasigroup.from_rows(TABLE1.rows)):
         with pytest.raises(TypeError):
             make()
+
+
+def test_mul_and_compose_refuse_what_they_cannot_read():
+    for u, v in ((3, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"({u},{v}) outside 0..2")):
+            TABLE1.base.mul(u, v)
+    with pytest.raises(NotAPermutation, match="^cannot compose bijections of different orders$"):
+        Bijection.identity(2).compose(Bijection.identity(3))

@@ -44,7 +44,7 @@ from dybmaps.cli import main
 def reference_build_dyb(t: Triple):
     """(phi, r) of the triple construction, entry by entry."""
     n = t.L.order
-    mul, ld, p, q, mt = t.L.rows, t.L.ldiv, t.pi.map.tolist(), t.pi.inverse.tolist(), t.M.table
+    mul, ld, p, q, mt = t.L.rows, t.L.division.tolist(), t.pi.map.tolist(), t.pi.inverse.tolist(), t.M.table
     r = []
     for lam in range(n):
         lam_rows = []
@@ -64,7 +64,7 @@ def reference_build_dyb(t: Triple):
 def reference_build_theta_dyb(LP, G, pi: Bijection):
     """(phi, r) of the loop/group construction, entry by entry."""
     n = LP.order
-    lmul, ld, gmul, gld, p, q = LP.rows, LP.ldiv, G.rows, G.ldiv, pi.map.tolist(), pi.inverse.tolist()
+    lmul, ld, gmul, gld, p, q = LP.rows, LP.division.tolist(), G.rows, G.division.tolist(), pi.map.tolist(), pi.inverse.tolist()
     e_g = classify_structure(G.base).identity
     ginv = tuple(gld[g][e_g] for g in range(n))
     theta, theta_inv = [], []
@@ -94,7 +94,7 @@ def reference_extract_mu_L(R: DynamicalMap) -> TernaryTable:
     weight shift is a left-quasigroup multiplication."""
     n = R.set_order
     mul = R.phi
-    ld = lq(mul).ldiv
+    ld = lq(mul).division.tolist()
     return TernaryTable.from_function(n, lambda a, b, c: mul[a][R.r[a][ld[a][b]][ld[b][c]][1]])
 
 
@@ -212,7 +212,7 @@ def test_build_and_extract_write_the_pinned_bytes(name, tmp_path):
 
 def reference_make_mu_g(G, variant):
     """The variant's table of a left quasigroup, entry by entry."""
-    mul, ld = G.rows, G.ldiv
+    mul, ld = G.rows, G.division.tolist()
     fn = {1: lambda a, b, c: mul[a][ld[b][c]],
           2: lambda a, b, c: mul[c][ld[b][a]],
           3: lambda a, b, c: mul[b][ld[a][c]]}[variant]
@@ -240,7 +240,7 @@ def reference_direct_product(M1, M2):
 
 def reference_reconstruct_G(t, cls, lam):
     """(G, pi_prime) of reconstruct_G, entry by entry, once the class holds."""
-    n, mul, ld, p, q, mu = t.L.order, t.L.rows, t.L.ldiv, t.pi.map.tolist(), t.pi.inverse.tolist(), t.M.mu
+    n, mul, ld, p, q, mu = t.L.order, t.L.rows, t.L.division.tolist(), t.pi.map.tolist(), t.pi.inverse.tolist(), t.M.mu
     if cls == "A1":
         star = lambda a, b: ld[lam][q[mu(p[mul[lam][a]], p[lam], p[mul[lam][b]])]]
     elif cls == "A2":
@@ -266,7 +266,7 @@ def reference_classify_structure(t):
 
 def reference_gauge(L1, L2, pi1, pi2):
     """J[lam1][u][v] of build_correspondence, entry by entry."""
-    n, mul1, ld2 = L1.order, L1.rows, L2.ldiv
+    n, mul1, ld2 = L1.order, L1.rows, L2.division.tolist()
     p1, q2 = pi1.map.tolist(), pi2.inverse.tolist()
     rho = tuple(q2[p1[i]] for i in range(n))
     J = []

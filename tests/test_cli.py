@@ -8,7 +8,6 @@ from dybmaps import (
     Bijection,
     BinaryTable,
     DynamicalMap,
-    LeftQuasigroup,
     TernaryTable,
     Triple,
     build_dyb,
@@ -16,7 +15,7 @@ from dybmaps import (
     make_mu_g,
     search_structures,
 )
-from dybmaps import serialize
+from dybmaps import CheckResult, cli, search, serialize
 from dybmaps.cli import VERIFY_CHECKS, build_parser, main
 
 
@@ -170,7 +169,7 @@ def test_malformed_map_is_refused_by_the_constructor_and_verify(capsys, tmp_path
 
 #: The nested-tuple views of maps and tables, which no command should build.
 TUPLE_VIEWS = ((DynamicalMap, "r"), (DynamicalMap, "phi"), (TernaryTable, "table"),
-               (BinaryTable, "rows"), (LeftQuasigroup, "ldiv"))
+               (BinaryTable, "rows"))
 
 
 def test_check_paths_build_no_tuple_view(capsys, files, tmp_path, monkeypatch):
@@ -475,3 +474,38 @@ def test_verify_and_extract_read_other_spellings_of_a_map_alike(capsys, files, t
         out = tmp_path / f"E-{path.stem}.json"
         assert run(capsys, "extract", str(path), "-o", str(out)) == expected
         assert out.read_bytes() == (tmp_path / "E.json").read_bytes()
+
+
+def test_correspond_failing_gauge_identity_exits_1(capsys, files, monkeypatch):
+    monkeypatch.setattr(cli, "verify_irf_irf", lambda inst: CheckResult(False, (0, 2, 1)))
+    code, out, err = run(
+        capsys, "correspond", "--L1", files["t1"], "--L2", files["shift3"],
+        "--M", files["mu1"], "--pi1", files["id3"], "--pi2", files["id3"],
+    )
+    assert code == 1
+    assert out == '{"irf_irf":false,"vertex":false,"counterexample":[0,2,1]}\n'
+    assert err == "gauge identity fails at (1, 3, 2) (1-based)\n"
+
+
+def test_census_disagreement_is_reported_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(search, "braid_check", lambda M: CheckResult(False, (0, 0, 0, 0)))
+    code, out, err = run(capsys, "census", "--order", "2")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["agree"] is False and doc["total"] == 256
+    # every table that satisfies M1 and M2 now disagrees with its braid column
+    assert len(doc["disagreements"]) == doc["num_m1m2"] > 0
+    for row in doc["disagreements"]:
+        assert (row["m1m2"], row["qdybe"], row["braid"]) == (True, True, False) and len(row["table"]) == 8
+
+
+def test_verify_of_a_ternary_document_exits_2(capsys, files):
+    assert run(capsys, "verify", "--check", "qdybe", files["mu1"]) == (
+        2, "", f"error: {files['mu1']}: expected a dynmap document\n")
+
+
+@pytest.mark.parametrize("check", ["invariance", "d1", "d2", "d3"])
+def test_verify_of_a_map_with_more_weights_than_elements_exits_2(capsys, tmp_path, check):
+    p = tmp_path / "h2n1.json"
+    serialize.dump(DynamicalMap(phi=[[0], [1]], r=[[[(0, 0)]], [[(0, 0)]]]), p)
+    assert run(capsys, "verify", "--check", check, str(p)) == (2, "", "error: weight order 2 != set order 1\n")

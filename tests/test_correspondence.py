@@ -256,3 +256,9 @@ def test_eq26_weight_injectivity():
 def test_eq26_guards():
     with pytest.raises(NotQuasigroup):
         eq26_family(lq([[0, 1], [0, 1]]))
+
+
+def test_vertex_counterpart_refuses_mixed_orders():
+    for L, G, pi in ((TABLE1, cyclic(2), ID3), (TABLE1, TABLE1, Bijection.identity(2))):
+        with pytest.raises(OrderMismatch, match="^orders differ: "):
+            vertex_counterpart(L, G, pi)

@@ -78,7 +78,7 @@ def test_build_over_projection_product_matches_closed_form():
     # 1-based R(1)(2,3) = (3,2)
     R = build_dyb(Triple(shift(3), make_mu_g(TABLE1, 1), ID3))
     assert R.r[0][1][2] == (2, 1)
-    mul, ld = TABLE1.rows, TABLE1.ldiv
+    mul, ld = TABLE1.rows, TABLE1.division.tolist()
     for lam, u, v in product(range(3), repeat=3):
         assert R.r[lam][u][v] == (v, mul[lam][ld[u][v]])
 
@@ -249,7 +249,7 @@ def test_invariance_of_a_non_multiplication_still_raises_from_both_calls(monkeyp
 
 def quasigroup_ldiv(R: DynamicalMap) -> np.ndarray:
     """phi's left division derived row by row through validate_left_quasigroup."""
-    return np.array(validate_left_quasigroup(BinaryTable(R.phi)).ldiv, dtype=np.int32).reshape(-1)
+    return validate_left_quasigroup(BinaryTable(R.phi)).division
 
 
 def test_weight_ldiv_equals_the_quasigroup_derivation():
@@ -436,10 +436,10 @@ def test_selfcheck_agrees_with_the_triple_leg_factorisation():
         for _ in range(6):
             ldiv = tuple(map(tuple, random_rows(rng, n)))
             t = random_triple(rng, n, ldiv)
-            if ldiv != validate_left_quasigroup(t.L.base).ldiv:
+            if not np.array_equal(ldiv, validate_left_quasigroup(t.L.base).division):
                 wrong.append(t)
     # and one that differs from the true one in two entries
-    (a, b, c), *rest = TABLE1.ldiv
+    (a, b, c), *rest = TABLE1.division.tolist()
     wrong.append(Triple(LeftQuasigroup._of(TABLE1.array, np.array(((b, a, c), *rest), np.int32)), make_mu_g(TABLE1, 1), ID3))
     assert len(wrong) > 20
     for t in wrong:
@@ -531,3 +531,15 @@ def test_is_D_morphism_refuses_a_map_of_another_order():
     with pytest.raises(OrderMismatch, match=re.escape("map orders (3, 2) differ")):
         is_D_morphism((0, 1), (Z2, R_h3), (Z2, R_Z2))
     assert is_D_morphism((0, 1), (Z2, R_Z2), (Z2, R_Z2))
+
+
+def test_reconstruct_G_and_is_D_morphism_guards():
+    t = Triple(TABLE1, make_mu_g(TABLE1, 1), ID3)
+    with pytest.raises(ValueError, match="^unknown class 'A4'$"):
+        reconstruct_G(t, "A4")
+    R = build_dyb(t)
+    Z2 = cyclic(2)
+    V2 = (Z2, build_dyb(Triple(Z2, make_mu_g(Z2, 1), Bijection.identity(2))))
+    # an image outside L' is no morphism, whatever the maps
+    assert is_D_morphism([0, 1, 2], (TABLE1, R), V2) is False
+    assert is_D_morphism([0, 1], (TABLE1, R), (TABLE1, R)) is False

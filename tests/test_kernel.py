@@ -389,3 +389,10 @@ def test_copies_keep_their_class_content_and_read_only_arrays(kind, how):
         assert not CACHES & vars(y).keys()
     if isinstance(y, CorrespondenceInstance):
         assert verify_irf_irf(y) == verify_irf_irf(x)
+
+
+def test_repr_shows_each_array_as_a_list():
+    assert repr(Bijection.make((1, 2, 0))) == "Bijection(map=[1, 2, 0], inverse=[2, 0, 1])"
+    assert repr(TABLE1) == ("LeftQuasigroup(array=[[0, 2, 1], [1, 0, 2], [2, 1, 0]], "
+                            "division=[[0, 2, 1], [1, 0, 2], [2, 1, 0]])")
+    assert repr(TernaryTable(1, [0])) == "TernaryTable(array=[0])"

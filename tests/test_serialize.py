@@ -371,7 +371,7 @@ def test_tables_are_values(n):
         else:
             assert BinaryTable(x.rows) == (x.base if isinstance(x, LeftQuasigroup) else x)
             if isinstance(x, LeftQuasigroup):
-                assert LeftQuasigroup._of(x.array, np.array(x.ldiv, np.int32)) == x
+                assert LeftQuasigroup._of(x.array, x.division.copy()) == x
         assert serialize.loads(serialize.dumps(x)) == (x.base if isinstance(x, LeftQuasigroup) else x)
     assert len({x for x, _ in value_tables(n)} | {y for _, y in value_tables(n)}) == 3
 
@@ -436,6 +436,17 @@ def test_codec_writes_the_compact_line_and_reads_both_spellings(tmp_path, name):
         # The codec itself reads each spelling, not only the JSON path.
         assert serialize._scan(text.encode()) == obj, spelling
         assert_reads_as_json(tmp_path / "doc.json", text)
+
+
+def test_codec_writes_the_order_0_bijection(tmp_path):
+    """The one valid object with an empty list, which the codec's slots
+    would take for a list of one."""
+    b = Bijection.identity(0)
+    line = serialize.encode(serialize.to_jsonable(b))
+    assert line == '{"kind":"bijection","order":0,"map":[]}\n'
+    assert serialize.dumps(b) == line and serialize.loads(line) == b
+    serialize.dump(b, tmp_path / "b.json")
+    assert serialize.load(tmp_path / "b.json") == b == Bijection.make([])
 
 
 def test_left_quasigroup_is_written_as_its_base():

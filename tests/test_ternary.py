@@ -18,7 +18,6 @@ from dybmaps import (
     is_ternary_hom,
     make_constant_mu,
     make_mu_g,
-    point_maps,
     satisfies_m1m2,
 )
 
@@ -129,13 +128,6 @@ def test_ternary_hom():
     assert not res and res.witness is not None
     with pytest.raises(ValueError):
         is_ternary_hom([0], M, M)
-
-
-def test_point_maps():
-    M = make_mu_g(TABLE1, 1)
-    s_a, s = point_maps(M, 2)
-    assert s_a(0, 1) == (M.mu(2, 0, 1), 1)
-    assert s(0, 1, 2) == (0, M.mu(0, 1, 2), 2)
 
 
 def test_braid_check_equals_identities_at_order_2():
@@ -253,3 +245,14 @@ def test_is_ternary_hom_reads_integers_only():
         is_ternary_hom([0.3, 1.7], M, M)
     with pytest.raises(ValueError, match=re.escape("expected an integer, got '0'")):
         is_ternary_hom([1, "0"], M, M)
+
+
+def test_make_constant_mu_and_is_ternary_hom_refuse_maps_off_the_carrier():
+    for f in ([0, 2], [0], [0, 1, 0], [-1, 0]):
+        with pytest.raises(ValueError, match="^f must map 0..n-1 into 0..n-1$"):
+            make_constant_mu(2, f, "first")
+    with pytest.raises(ValueError, match="^position must be first, middle or third, got 'last'$"):
+        make_constant_mu(2, [0, 1], "last")
+    M, small = make_constant_mu(3, [0, 1, 2], "first"), make_constant_mu(2, [0, 1], "first")
+    with pytest.raises(ValueError, match="^h must land in the target carrier$"):
+        is_ternary_hom([0, 1, 2], M, small)
