@@ -47,8 +47,8 @@ class BinaryTable(Arrays):
 
     The table is one read-only (n, n) int32 array, `array`; `rows[u][v]` is
     the same as nested tuples, made anew on each use.  `BinaryTable(rows)`
-    checks the shape and range of nested sequences, and stores an entry that
-    passes its range test without being an int (True, 0.5) as int32 does.
+    checks the shape of nested sequences and reads each entry as an integer
+    in range (ValueError for any other entry, a float or a string included).
     """
 
     __slots__ = ("array",)
@@ -59,23 +59,22 @@ class BinaryTable(Arrays):
         if n < 1:
             raise ValueError("order must be >= 1")
         try:
-            fine = set(map(len, rows)) == {n} and in_range(chain.from_iterable(rows), n)
+            entries = set(map(len, rows)) == {n} and in_range(chain.from_iterable(rows), n)
         except TypeError:  # a row without a length, named by the loop below
-            fine = False
-        if not fine:
+            entries = None
+        if not entries:
             for u, row in enumerate(rows):
                 if len(row) != n:
                     raise ValueError(f"row {u} has length {len(row)}, expected {n}")
                 for v, x in enumerate(row):
-                    if not 0 <= x < n:
+                    if not 0 <= integer(x) < n:
                         raise ValueError(f"entry ({u},{v}) = {x} out of range 0..{n - 1}")
-        self._bind(np.array(rows, np.int32))
+        self._bind(np.array(entries, np.int32).reshape(n, n))
 
     @classmethod
     def from_rows(cls, rows) -> BinaryTable:
-        """The table of nested sequences of integers (ValueError for any
-        other entry, a float or a string included)."""
-        return cls(tuple(tuple(map(integer, row)) for row in rows))
+        """The table of nested iterables of integers, generators included."""
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def order(self) -> int:

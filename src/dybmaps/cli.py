@@ -13,12 +13,14 @@ import dataclasses
 import json
 import sys
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from . import serialize
 from .binary import BinaryTable, Bijection, classify_structure, validate_left_quasigroup
 from .correspondence import build_correspondence, is_constant_in_lambda, verify_irf_irf
 from .engine import (
+    A_CLASSES,
     D_CLASSES,
     DynamicalMap,
     Triple,
@@ -32,7 +34,7 @@ from .engine import (
     verify_unitary,
 )
 from .errors import AlgebraError
-from .search import census_theorem31, search_structures
+from .search import SEARCHES, census_theorem31, search_structures
 from .ternary import TernaryTable
 
 #: What `verify --check` runs, by the name it takes.  Each entry looks its
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("reconstruct", help="rebuild a generating structure from a class member")
-    p.add_argument("--class", dest="cls", required=True, choices=("a1", "a2", "a3"))
+    p.add_argument("--class", dest="cls", required=True, choices=[c.lower() for c in A_CLASSES])
     p.add_argument("--lambda", dest="basepoint", type=int, default=0,
                    help="basepoint element (default 0)")
     p.add_argument("--L", required=True)
@@ -261,13 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate structures of a given order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument(
-        "--target",
-        required=True,
-        choices=("left-quasigroups", "quasigroups", "ternary-m1m2"),
-    )
-    p.add_argument("--mode", choices=("exhaustive", "backtracking"), default=None,
-                   help="default: the target's own stream (exhaustive for ternary-m1m2)")
+    p.add_argument("--target", required=True, choices=tuple(SEARCHES))
+    every_mode = dict.fromkeys(chain.from_iterable(SEARCHES.values()))  # in declaration order
+    own = ", ".join(f"{next(iter(modes))} for {target}" for target, modes in SEARCHES.items())
+    p.add_argument("--mode", choices=tuple(every_mode), default=None, help=f"default: the target's own ({own})")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--deadline", type=float, default=None, help="soft time bound in seconds")
     p.add_argument("--up-to-iso", action="store_true")

@@ -18,7 +18,7 @@ from .engine import DynamicalMap, Triple, build_dyb, extract_mu_L, reconstruct_G
 from .errors import AlgebraError, LQ1Violation, M1M2Violation, NotQuasigroup, OrderMismatch, ShapeMismatch
 from .kernel import Identity, _axes, check
 from .result import CheckResult
-from .ternary import TernaryTable, check_ternary_condition, make_mu_g
+from .ternary import M1M2, TernaryTable, check_ternary_condition, make_mu_g
 
 # verify_irf_irf with the bijection J(lam1) applied to both sides; the inner
 # swaps of (swap R2 swap) o (swap J swap) cancel.
@@ -95,7 +95,7 @@ def build_correspondence(
     orders = {L1.order, L2.order, M.order, pi1.order, pi2.order}
     if len(orders) != 1:
         raise OrderMismatch(f"orders differ: {sorted(orders)}")
-    for cond in ("M1", "M2"):
+    for cond in M1M2:
         check_ternary_condition(M, cond).require(M1M2Violation)
     n = M.order
     rho = pi2.inverse.take(pi1.map)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .kernel import Arrays, Identity, _axes, check, integer, require_shape
 from .result import CheckResult
-from .ternary import TernaryTable, check_ternary_condition
+from .ternary import M1M2, TernaryTable, check_ternary_condition
 
 D_CLASSES = ("D1", "D2", "D3")
 A_CLASSES = ("A1", "A2", "A3")
@@ -263,7 +263,7 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
     the failure direction can be exercised.
     """
     if checked:
-        for cond in ("M1", "M2"):
+        for cond in M1M2:
             check_ternary_condition(t.M, cond).require(M1M2Violation)
     n = t.L.order
     mul, ld = t.L.array, t.L.division

@@ -80,16 +80,15 @@ def integer(x) -> int:
         raise ValueError(f"expected an integer, got {x!r}") from None
 
 
-def in_range(values, n: int) -> bool:
-    """A whole-table test that every value is one of 0..n-1: one C-level
-    pass collects the distinct values, and only those are looked up in
-    range(n).  False where it cannot vouch for a value (0.5, NaN, an
-    unhashable one); callers then loop over the entries, which accepts such
-    values as before or names the first offender."""
+def in_range(values, n: int) -> tuple[int, ...] | None:
+    """The entries as ints if each is an integer (as `integer` reads it) in
+    0..n-1, in C-level passes that look up only the distinct values in
+    range(n); else None, and the caller's loop names the first offender."""
     try:
-        return set(values).issubset(range(n))
+        entries = tuple(map(operator.index, values))
     except TypeError:
-        return False
+        return None
+    return entries if set(entries).issubset(range(n)) else None
 
 
 def require_shape(value, depth: int, inner: str, name: str) -> None:

@@ -2,9 +2,10 @@
 
 Enumerates left quasigroups ((n!)^n tables), quasigroups (Latin squares,
 by row-wise backtracking) and ternary tables satisfying the two defining
-identities, either exhaustively or by cell-wise backtracking.  Every
-target is a stream in lexicographic table order, and one collector applies
-the limit and the deadline to all of them, so runs are reproducible.
+identities, either exhaustively or by cell-wise backtracking.  SEARCHES
+declares every search, each a stream in lexicographic table order, and
+`search_structures` applies the limit and the deadline to all of them, so
+runs are reproducible.
 
 No published count exists for the ternary search at any order; totals
 reported here are regression values of this implementation.
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, permutations, product
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,12 +27,8 @@ from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasig
 from .engine import Triple, build_dyb, verify_qdybe
 from .errors import OrderMismatch, OrderTooLarge
 from .kernel import FAILS, probe
-from .ternary import _TERNARY, TernaryTable, braid_check, satisfies_m1m2
+from .ternary import _TERNARY, M1M2, TernaryTable, braid_check, satisfies_m1m2
 
-MAX_LEFT_QUASIGROUP_ORDER = 4
-MAX_QUASIGROUP_ORDER = 5
-MAX_TERNARY_EXHAUSTIVE_ORDER = 2
-MAX_TERNARY_BACKTRACKING_ORDER = 3
 MAX_CANONICAL_ORDER = 8
 
 #: Bounds the (table, relabeling) pairs refined together, whole tables at a
@@ -82,10 +79,7 @@ class CensusReport:
 
 def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     """All tables whose rows are permutations, in lexicographic order."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n > MAX_LEFT_QUASIGROUP_ORDER:
-        raise OrderTooLarge(f"(n!)^n growth; refusing n = {n}")
+    _bounded("left-quasigroups", "exhaustive", n)
     perms, inverses = (a[:, :n].astype(np.int32) for a in _relabelings(n)[:2])
     # the n! tables that share their first n - 1 rows, gathered at once
     rows = np.empty((len(perms), n), np.intp)
@@ -98,10 +92,7 @@ def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
 
 def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     """All Latin squares of order n, by row-wise backtracking, lexicographic."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n > MAX_QUASIGROUP_ORDER:
-        raise OrderTooLarge(f"Latin square growth; refusing n = {n}")
+    _bounded("quasigroups", "backtracking", n)
     perms, inverses = (a[:, :n].astype(np.int32) for a in _relabelings(n)[:2])
     # Bit c*n + v of a mask: the row puts value v in column c.
     masks = [sum(1 << c * n + v for c, v in enumerate(perm)) for perm in perms.tolist()]
@@ -123,7 +114,7 @@ def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
 def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     """Tables passing both identities, filling cells in lexicographic order
     with forward checking.  Yields None at every inner node, so the
-    collector reads the clock in barren subtrees.
+    search reads the clock in barren subtrees.
 
     Every instance of M1 and M2 has its own probe, made once before the
     walk with the index terms that read only its point folded into
@@ -147,7 +138,7 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     size = n**3
     tab = [-1] * size
     watch = [[] for _ in range(size)]
-    for cond in ("M1", "M2"):
+    for cond in M1M2:
         at = probe(_TERNARY[cond], mu=tab, n=n)
         for point in product(range(n), repeat=4):
             instance = at(*point)
@@ -198,8 +189,61 @@ def _all_ternary_tables(n: int) -> Iterator[TernaryTable]:
     return (TernaryTable._of(np.array(flat, np.int32)) for flat in product(range(n), repeat=n**3))
 
 
-def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso) -> SearchReport:
-    """Run one table stream under `limit` and `deadline`.
+class Search(NamedTuple):
+    """One search: the largest order it takes, what grows with the order
+    (named when it refuses a larger one) and its stream of tables of order n."""
+
+    max_order: int
+    growth: str
+    stream: Callable[[int], Iterator]
+
+
+#: Every search, by target and mode; a target's first mode is its own.
+#: Where a target has two modes they emit the same tables in the same order.
+SEARCHES = {
+    "ternary-m1m2": {
+        "exhaustive": Search(2, "n^(n^3) growth", lambda n: filter(satisfies_m1m2, _all_ternary_tables(n))),
+        "backtracking": Search(3, "3^(n^3) tree", _ternary_backtracking),
+    },
+    "left-quasigroups": {"exhaustive": Search(4, "(n!)^n growth", enumerate_left_quasigroups)},
+    "quasigroups": {"backtracking": Search(5, "Latin square growth", enumerate_quasigroups)},
+}
+
+
+def _bounded(target: str, mode: str, n: int) -> Search:
+    """The search of `target` in `mode`, if n is one of its orders."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    search = SEARCHES[target][mode]
+    if n > search.max_order:
+        raise OrderTooLarge(f"{search.growth}; refusing n = {n}")
+    return search
+
+
+def search_ternary_M1M2(
+    n: int,
+    mode: str = "exhaustive",
+    limit: int | None = None,
+    deadline: float | None = None,
+    up_to_iso: bool = False,
+) -> SearchReport:
+    """The `ternary-m1m2` searches of SEARCHES, for the tables that satisfy
+    both defining identities: all n^(n^3) candidates, or by backtracking."""
+    return search_structures("ternary-m1m2", n, mode, limit, deadline, up_to_iso)
+
+
+def search_structures(
+    target: str,
+    n: int,
+    mode: str | None = None,
+    limit: int | None = None,
+    deadline: float | None = None,
+    up_to_iso: bool = False,
+) -> SearchReport:
+    """Run one search of SEARCHES under `limit` and `deadline`.  `mode` None
+    takes the target's own; an unknown target, a mode the target does not
+    have or an order below 1 is a ValueError, an order above the mode's
+    bound OrderTooLarge.
 
     The stream yields tables in lexicographic order and may yield None
     between them.  The clock is read after every item: once `deadline`
@@ -207,6 +251,15 @@ def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso)
     when the stream ran out before either bound stopped it; at the limit
     one more table is pulled to find out.
     """
+    # names are compared as tuples, so an unhashable one is unknown too
+    if target not in tuple(SEARCHES):
+        raise ValueError(f"unknown search target {target!r}")
+    modes = SEARCHES[target]
+    if mode is None:
+        mode = next(iter(modes))
+    elif mode not in tuple(modes):
+        raise ValueError(f"target {target} is searched in {' or '.join(modes)} mode, got {mode!r}")
+    stream = _bounded(target, mode, n).stream(n)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if deadline is not None and not deadline >= 0:  # NaN too
@@ -241,58 +294,6 @@ def _collect(target: str, n: int, mode: str, stream, limit, deadline, up_to_iso)
         _classify_up_to_iso(report)
         report.classify_s = time.perf_counter() - t0
     return report
-
-
-def search_ternary_M1M2(
-    n: int,
-    mode: str = "exhaustive",
-    limit: int | None = None,
-    deadline: float | None = None,
-    up_to_iso: bool = False,
-) -> SearchReport:
-    """Find ternary tables satisfying both defining identities.
-
-    Exhaustive mode scans all n^(n^3) candidates (n <= 2); backtracking
-    mode fills cells in lexicographic order with forward checking (n <= 3).
-    Where both run they emit the same tables in the same order.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if mode == "exhaustive":
-        if n > MAX_TERNARY_EXHAUSTIVE_ORDER:
-            raise OrderTooLarge(f"n^(n^3) growth; refusing n = {n}")
-        stream = (M for M in _all_ternary_tables(n) if satisfies_m1m2(M))
-    elif mode == "backtracking":
-        if n > MAX_TERNARY_BACKTRACKING_ORDER:
-            raise OrderTooLarge(f"3^(n^3) tree; refusing n = {n}")
-        stream = _ternary_backtracking(n)
-    else:
-        raise ValueError(f"mode must be exhaustive or backtracking, got {mode!r}")
-    return _collect("ternary-m1m2", n, mode, stream, limit, deadline, up_to_iso)
-
-
-def search_structures(
-    target: str,
-    n: int,
-    mode: str | None = None,
-    limit: int | None = None,
-    deadline: float | None = None,
-    up_to_iso: bool = False,
-) -> SearchReport:
-    """Uniform entry point over all search targets.  `mode` None takes the
-    target's own stream (exhaustive for ternary-m1m2); a mode the target
-    does not have is a ValueError."""
-    if target == "ternary-m1m2":
-        return search_ternary_M1M2(n, mode or "exhaustive", limit, deadline, up_to_iso)
-    if target == "left-quasigroups":
-        stream, own = enumerate_left_quasigroups(n), "exhaustive"
-    elif target == "quasigroups":
-        stream, own = enumerate_quasigroups(n), "backtracking"
-    else:
-        raise ValueError(f"unknown search target {target!r}")
-    if mode not in (None, own):
-        raise ValueError(f"target {target} is searched in {own} mode only, got {mode!r}")
-    return _collect(target, n, own, stream, limit, deadline, up_to_iso)
 
 
 def _classify_up_to_iso(report: SearchReport) -> None:
@@ -477,7 +478,7 @@ def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, 
         b = bool(braid_check(M))
         num_m1m2 += m12
         if not (m12 == q == b):
-            disagreements.append((M.table, m12, q, b))
+            disagreements.append((M.array.tolist(), m12, q, b))
     return total, num_m1m2, disagreements
 
 
@@ -493,8 +494,9 @@ def census_theorem31(
     For each table records whether (a) it satisfies both defining
     identities, (b) the unchecked build passes the equation check, and
     (c) the braid check passes, then asserts the three columns agree.
-    Exhaustive for n <= 2; pass `sample` for a seeded random census at
-    larger orders.  L and pi must be of order n (OrderMismatch).
+    Exhaustive up to the bound of the exhaustive ternary search; pass
+    `sample` for a seeded random census at larger orders.  L and pi must be
+    of order n (OrderMismatch).
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
@@ -508,10 +510,8 @@ def census_theorem31(
         raise OrderMismatch(f"orders differ: L={L.order}, M={n}, pi={pi.order}")
     t0 = time.perf_counter()
     if sample is None:
-        if n > MAX_TERNARY_EXHAUSTIVE_ORDER:
-            raise OrderTooLarge(
-                f"exhaustive census infeasible at n = {n}; pass sample="
-            )
+        if n > SEARCHES["ternary-m1m2"]["exhaustive"].max_order:
+            raise OrderTooLarge(f"exhaustive census infeasible at n = {n}; pass sample=")
         tables = _all_ternary_tables(n)
         mode = "exhaustive"
     else:

@@ -33,6 +33,8 @@ _TERNARY = {
     "U": Identity("a b c", "mu(a, mu(a, b, c), c) == b"),
 }
 TERNARY_CONDITIONS = tuple(_TERNARY)
+#: The two defining identities, which every build, gauge and search requires.
+M1M2 = ("M1", "M2")
 
 # The braid relation of braid_check, on the first two slots.
 _BRAID = Identity("a x y z", """
@@ -52,9 +54,9 @@ class TernaryTable(Arrays):
 
     The table is one read-only int32 array of its n^3 entries, `array`, and
     n is read off its length; `table` is the same as a tuple, made anew.
-    `TernaryTable(n, table)` checks the length and range of a flat sequence,
-    and stores an entry that passes its range test without being an int
-    (True, 0.5) as int32 does.
+    `TernaryTable(n, table)` checks the length of a flat sequence and reads
+    each entry as an integer in range (ValueError for any other entry, a
+    float or a string included).
     """
 
     __slots__ = ("array",)
@@ -66,11 +68,12 @@ class TernaryTable(Arrays):
             raise ValueError("order must be >= 1")
         if len(table) != n**3:
             raise ValueError(f"table length {len(table)}, expected {n**3}")
-        if not in_range(table, n):
+        entries = in_range(table, n)
+        if entries is None:
             for i, x in enumerate(table):
-                if not 0 <= x < n:
+                if not 0 <= integer(x) < n:
                     raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
-        self._bind(np.array(table, np.int32))
+        self._bind(np.array(entries, np.int32))
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int, int], int]) -> TernaryTable:
@@ -78,9 +81,8 @@ class TernaryTable(Arrays):
 
     @classmethod
     def from_flat(cls, n: int, entries) -> TernaryTable:
-        """The table of a flat sequence of integers (ValueError for any other
-        entry, a float or a string included)."""
-        return cls(n, tuple(map(integer, entries)))
+        """The table of a flat iterable of integers, a generator included."""
+        return cls(n, tuple(entries))
 
     @property
     def order(self) -> int:
@@ -105,7 +107,7 @@ def check_ternary_condition(M: TernaryTable, cond: str) -> CheckResult:
 
 
 def satisfies_m1m2(M: TernaryTable) -> bool:
-    return bool(check_ternary_condition(M, "M1") and check_ternary_condition(M, "M2"))
+    return all(check_ternary_condition(M, cond) for cond in M1M2)
 
 
 def make_mu_g(G: LeftQuasigroup, variant: int, checked: bool = True) -> TernaryTable:
@@ -162,7 +164,7 @@ def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
 def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
     """Componentwise operation on pairs, with pair (a1, a2) encoded as a1*n2 + a2."""
     for M in (M1, M2):
-        for cond in ("M1", "M2"):
+        for cond in M1M2:
             check_ternary_condition(M, cond).require(PreconditionFailed)
     n1, n2 = M1.order, M2.order
     # axes (a1, a2, b1, b2, c1, c2), so C order reads ((a*n + b)*n + c)

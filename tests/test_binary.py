@@ -188,6 +188,14 @@ def test_from_rows_reads_integers_only():
             BinaryTable.from_rows([[0, bad], [1, 0]])
 
 
+def test_constructor_reads_integers_only():
+    assert BinaryTable([[np.int64(0), True], [np.int32(1), False]]).rows == ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got 0.5")):
+        BinaryTable([[0.5, 1.7], [1.2, 0.0]])
+    with pytest.raises(ValueError, match=re.escape("expected an integer, got '1'")):
+        BinaryTable(((0, 1), (1, "1")))
+
+
 def test_bijection_make_reads_integers_only():
     assert Bijection.make([np.int64(1), False]).map.tolist() == [1, 0]
     with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.9")):

@@ -16,6 +16,7 @@ from test_serialize import KINDS, _set, read_as, reference_rejection, rejection
 
 from dybmaps import Bijection, BinaryTable, DynamicalMap, IndexOutOfRange, TernaryTable, serialize
 from dybmaps.cli import main
+from dybmaps.kernel import integer
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -218,10 +219,12 @@ def test_fuzz_cli_exits_2_on_malformed_documents(cli_dir, case):
 
 
 # --- The constructors' whole-table range checks against the entry loops -------
+# Each loop reads an entry as an integer before its range test, so a float,
+# a string or a list is refused however it compares.
 
 def reference_ternary_check(n, table):
     for i, x in enumerate(table):
-        if not 0 <= x < n:
+        if not 0 <= integer(x) < n:
             raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
 
 
@@ -231,7 +234,7 @@ def reference_binary_check(rows):
         if len(row) != n:
             raise ValueError(f"row {u} has length {len(row)}, expected {n}")
         for v, x in enumerate(row):
-            if not 0 <= x < n:
+            if not 0 <= integer(x) < n:
                 raise ValueError(f"entry ({u},{v}) = {x} out of range 0..{n - 1}")
 
 
@@ -243,7 +246,7 @@ def outcome(fn, *args):
     return None
 
 
-#: Entries that the loop `0 <= x < n` accepts or rejects in different ways,
+#: Entries that `0 <= x < n` alone accepts or rejects in different ways,
 #: beside the bounds -1 and n that each test adds.
 ODD_ENTRIES = st.one_of(st.booleans(), st.floats(allow_nan=True),
                         st.sampled_from([0.5, 1.0, float("nan")]), st.text(max_size=1), st.none(),

@@ -396,3 +396,5 @@ def test_repr_shows_each_array_as_a_list():
     assert repr(TABLE1) == ("LeftQuasigroup(array=[[0, 2, 1], [1, 0, 2], [2, 1, 0]], "
                             "division=[[0, 2, 1], [1, 0, 2], [2, 1, 0]])")
     assert repr(TernaryTable(1, [0])) == "TernaryTable(array=[0])"
+    # a map shows its two orders, not its n^2 h pairs
+    assert repr(DynamicalMap(phi=[[0], [1]], r=[[[(0, 0)]], [[(0, 0)]]])) == "DynamicalMap(weight_order=2, set_order=1)"

@@ -310,12 +310,8 @@ def test_modes_agree_at_every_limit_at_order_2():
 
 #: Every (target, mode) pair a search can run, each at the largest order it
 #: allows, so a deadline check that only some paths make shows up.
-SEARCH_PATHS = [
-    ("ternary-m1m2", "exhaustive", 2),
-    ("ternary-m1m2", "backtracking", 3),
-    ("left-quasigroups", "exhaustive", 4),
-    ("quasigroups", "backtracking", 5),
-]
+SEARCH_PATHS = [(target, mode, run.max_order) for target, modes in search.SEARCHES.items()
+                for mode, run in modes.items()]
 
 
 @pytest.mark.parametrize("target, mode, n", SEARCH_PATHS)
@@ -367,6 +363,12 @@ def test_search_structures_targets():
     assert rep.total == M1M2_COUNT_N2
     with pytest.raises(ValueError):
         search_structures("rings", 2)
+
+
+def test_an_unhashable_target_or_mode_is_unknown():
+    for target, mode in ((["rings"], None), ("quasigroups", ["backtracking"]), ("ternary-m1m2", {})):
+        with pytest.raises(ValueError, match="unknown search target|is searched in"):
+            search_structures(target, 2, mode=mode)
 
 
 def test_canonicalize_projection_fixed_by_all_relabelings():

@@ -210,6 +210,13 @@ def test_from_flat_reads_integers_only():
         TernaryTable.from_flat(2, [0] * 7 + ["1"])
 
 
+def test_constructor_reads_integers_only():
+    assert TernaryTable(2, (np.int64(1), True) + (0,) * 6).table == (1, 1, 0, 0, 0, 0, 0, 0)
+    for bad, shown in ((1.9, "1.9"), (np.float64(1.0), repr(np.float64(1.0))), ("1", "'1'")):
+        with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {shown}")):
+            TernaryTable(2, [bad] * 8)
+
+
 def test_from_function_reads_integers_only():
     assert TernaryTable.from_function(2, lambda a, b, c: np.int32(a)) == make_constant_mu(2, [0, 1], "first")
     with pytest.raises(ValueError, match=re.escape("expected an integer, got 1.0")):
