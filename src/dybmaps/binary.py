@@ -69,6 +69,7 @@ class BinaryTable(Arrays):
                 for v, x in enumerate(row):
                     if not 0 <= integer(x) < n:
                         raise ValueError(f"entry ({u},{v}) = {x} out of range 0..{n - 1}")
+            entries = tuple(map(integer, chain.from_iterable(rows)))  # numpy bools, which in_range refuses
         self._bind(np.array(entries, np.int32).reshape(n, n))
 
     @classmethod

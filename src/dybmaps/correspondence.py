@@ -75,10 +75,6 @@ class CorrespondenceInstance:
     def order(self) -> int:
         return self.L1.order
 
-    def rho(self) -> Bijection:
-        """The carrier transfer pi2^-1 o pi1: L1 -> L2."""
-        return self.pi2.invert().compose(self.pi1)
-
 
 def build_correspondence(
     L1: LeftQuasigroup,
@@ -103,13 +99,13 @@ def build_correspondence(
     lam1, u, v = _axes((n, n, n))
     t0 = L1.array.take(lam1 * n + v)
     r0, r1 = rho.take(t0), rho.take(L1.array.take(t0 * n + u))
-    j0 = np.broadcast_to(L2.division.take(rho.take(lam1) * n + r0), (n, n, n))
-    j1 = L2.division.take(r0 * n + r1)
-    codes = np.sort((j0 * n + j1).reshape(n, -1), axis=1)  # each weight's pairs, sorted
+    J = np.empty((2, n, n, n), np.int32)
+    J[0] = L2.division.take(rho.take(lam1) * n + r0)
+    L2.division.take(r0 * n + r1, out=J[1])
+    codes = np.sort((J[0] * n + J[1]).reshape(n, -1), axis=1)  # each weight's pairs, sorted
     repeats = np.flatnonzero((codes[:, 1:] == codes[:, :-1]).any(axis=1))
     if repeats.size:
         raise AlgebraError(f"gauge at weight {repeats[0]} is not bijective")
-    J = np.stack((j0, j1))
     J.setflags(write=False)
 
     return CorrespondenceInstance(
@@ -126,7 +122,7 @@ def build_correspondence(
 
 def verify_irf_irf(c: CorrespondenceInstance) -> CheckResult:
     """Check R1(lam1) = J(lam1)^-1 o swap R2(rho lam1) swap o (swap J(lam1) swap)."""
-    return check(_IRF_IRF, n=c.order, rho=c.rho().map, J=c.J, r1=c.R1.pairs, r2=c.R2.pairs)
+    return check(_IRF_IRF, n=c.order, rho=c.pi2.inverse.take(c.pi1.map), J=c.J, r1=c.R1.pairs, r2=c.R2.pairs)
 
 
 def is_constant_in_lambda(R: DynamicalMap) -> bool:

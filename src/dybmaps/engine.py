@@ -181,9 +181,10 @@ class DynamicalMap(Arrays):
     @cached_property
     def weight_ldiv(self) -> np.ndarray:
         """Left division of phi read as a multiplication: lam\\u at [lam, u]
-        of an (n, n) array, as validate_left_quasigroup derives it, the
-        layout of LeftQuasigroup.division.  ShapeMismatch unless phi is a
-        left-quasigroup multiplication."""
+        of an (n, n) array, like LeftQuasigroup.division.  A map from
+        build_dyb carries its L's division; any other map derives it with
+        validate_left_quasigroup on first use (ShapeMismatch unless phi is a
+        left-quasigroup multiplication)."""
         if self.weight_order != self.set_order:
             raise ShapeMismatch(
                 f"weight order {self.weight_order} != set order {self.set_order}"
@@ -275,7 +276,9 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
     mu = t.M.array.take((p[:, None, None] * n + p.take(lu)) * n + p.take(luv))
     xi = ld.take(lam_n + q.take(mu), out=pairs[1])
     ld.take(mul.take(lam_n + xi) * n + luv, out=pairs[0])
-    return DynamicalMap._of(mul, pairs)
+    R = DynamicalMap._of(mul, pairs)
+    R.weight_ldiv = ld  # the shift is L's multiplication, so its division is L's
+    return R
 
 
 def eval_xi(R: DynamicalMap, lam: int, u: int, v: int) -> int:
@@ -306,10 +309,11 @@ def verify_qdybe(R: DynamicalMap) -> CheckResult:
 
 
 def verify_braiding(R: DynamicalMap) -> CheckResult:
-    """Check the braid-type equation for sigma = swap o R.
-
-    Agreement with verify_qdybe on every input is itself a tested property.
-    """
+    """Check the braid-type equation for sigma = swap o R: with each pair's
+    slots named in the other order, its (l1, l2, d) == (g, m1, m2) is
+    verify_qdybe's (f, e, c) == (t2, y2, x2), so the two give the same verdict
+    and witness on every map, and their agreement checks one declaration
+    against the other, not two algorithms."""
     return check(_BRAIDING, **R._tables)
 
 

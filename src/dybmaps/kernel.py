@@ -75,7 +75,7 @@ def integer(x) -> int:
     """x as an int if it is an integer (Python's or numpy's, bools too), where
     int(x) would truncate a float or parse a string: ValueError otherwise."""
     try:
-        return operator.index(x)
+        return int(x) if isinstance(x, np.bool_) else operator.index(x)
     except TypeError:
         raise ValueError(f"expected an integer, got {x!r}") from None
 
@@ -435,8 +435,9 @@ def _slab_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
             chunk = axes[0][start : start + step]
             bad = slab(*point, chunk, *axes[1:])
             if bad.any():
-                shape = (len(chunk), *sizes[fixed + 1 :])
-                a, *rest = np.unravel_index(np.flatnonzero(np.broadcast_to(bad, shape))[0], shape)
+                # bad may lack leading axes or have size-1 ones: the first failure is at 0 on them
+                shape = (1,) * (len(sizes) - fixed - bad.ndim) + bad.shape
+                a, *rest = np.unravel_index(bad.argmax(), shape)
                 return (*point, start + int(a), *map(int, rest))
     return None
 

@@ -8,6 +8,7 @@ dynamical Yang-Baxter map.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -73,6 +74,7 @@ class TernaryTable(Arrays):
             for i, x in enumerate(table):
                 if not 0 <= integer(x) < n:
                     raise ValueError(f"entry {i} = {x} out of range 0..{n - 1}")
+            entries = tuple(map(integer, table))  # numpy bools, which in_range refuses
         self._bind(np.array(entries, np.int32))
 
     @classmethod
@@ -86,7 +88,7 @@ class TernaryTable(Arrays):
 
     @property
     def order(self) -> int:
-        return round(len(self.array) ** (1 / 3))
+        return _cube_root(len(self.array))
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -97,6 +99,11 @@ class TernaryTable(Arrays):
         if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
             raise IndexOutOfRange(f"({a},{b},{c}) outside 0..{n - 1}")
         return int(self.array[(a * n + b) * n + c])
+
+
+@cache
+def _cube_root(size: int) -> int:
+    return round(size ** (1 / 3))
 
 
 def check_ternary_condition(M: TernaryTable, cond: str) -> CheckResult:

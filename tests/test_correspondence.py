@@ -9,6 +9,7 @@ from conftest import BIJ3, TABLE1, cyclic, lq, shift
 
 from dybmaps import (
     Bijection,
+    DynamicalMap,
     LQ1Violation,
     M1M2Violation,
     NotQuasigroup,
@@ -262,3 +263,33 @@ def test_vertex_counterpart_refuses_mixed_orders():
     for L, G, pi in ((TABLE1, cyclic(2), ID3), (TABLE1, TABLE1, Bijection.identity(2))):
         with pytest.raises(OrderMismatch, match="^orders differ: "):
             vertex_counterpart(L, G, pi)
+
+
+def reference_gauge(L1, L2, pi1, pi2):
+    """J(lam1)(u, v) = (rho(lam1) \\ r0, r0 \\ r1), r0 = rho(lam1*v),
+    r1 = rho((lam1*v)*u), point by point."""
+    n = L1.order
+    rho = [pi2.inverse[pi1(x)] for x in range(n)]
+    J = np.empty((2, n, n, n), np.int64)
+    for lam, u, v in product(range(n), repeat=3):
+        r0 = rho[L1.mul(lam, v)]
+        r1 = rho[L1.mul(L1.mul(lam, v), u)]
+        J[:, lam, u, v] = L2.left_div(rho[lam], r0), L2.left_div(r0, r1)
+    return J
+
+
+def test_gauge_and_both_maps_are_those_of_the_definition():
+    rng = random.Random("gauge/reference")
+    for n in range(1, 6):
+        for _ in range(3):
+            L1, L2 = (lq([rng.sample(range(n), n) for _ in range(n)]) for _ in range(2))
+            pi1, pi2 = (Bijection.make(rng.sample(range(n), n)) for _ in range(2))
+            M = make_mu_g(cyclic(n), 1)
+            inst = build_correspondence(L1, L2, M, pi1, pi2)
+            assert inst.J.dtype == np.int32 and not inst.J.flags.writeable
+            assert np.array_equal(inst.J, reference_gauge(L1, L2, pi1, pi2))
+            assert verify_irf_irf(inst)
+            # each map carries its left quasigroup's division, the one its shift derives
+            for L, R, pi in ((L1, inst.R1, pi1), (L2, inst.R2, pi2)):
+                assert R == build_dyb(Triple(L, M, pi)) and R.weight_ldiv is L.division
+                assert np.array_equal(R.weight_ldiv, DynamicalMap._of(R.shift, R.pairs).weight_ldiv)

@@ -543,3 +543,74 @@ def test_reconstruct_G_and_is_D_morphism_guards():
     # an image outside L' is no morphism, whatever the maps
     assert is_D_morphism([0, 1, 2], (TABLE1, R), V2) is False
     assert is_D_morphism([0, 1], (TABLE1, R), (TABLE1, R)) is False
+
+
+# --- A built map carries its weight division ----------------------------------
+
+def valid_triple(rng, n):
+    """A seeded triple of order n whose M satisfies M1 and M2."""
+    t = random_triple(rng, n)
+    return Triple(t.L, make_mu_g(cyclic(n), 1), t.pi)
+
+
+def refuse(*args):
+    raise AssertionError("a built map's weight division was derived again")
+
+
+def test_a_built_map_carries_the_division_its_shift_derives(monkeypatch):
+    rng = random.Random("weight_ldiv")
+    for n in range(1, 7):
+        for t in (random_triple(rng, n), valid_triple(rng, n)):
+            R = build_dyb(t, checked=False)
+            assert R.weight_ldiv is t.L.division
+            derived = DynamicalMap._of(R.shift, R.pairs).weight_ldiv
+            assert np.array_equal(R.weight_ldiv, derived)
+            assert derived.dtype == R.weight_ldiv.dtype == np.int32
+            assert not derived.flags.writeable and not R.weight_ldiv.flags.writeable
+    # the checks that read the division do not validate the shift again
+    monkeypatch.setattr(engine, "validate_left_quasigroup", refuse)
+    R = build_dyb(valid_triple(rng, 4))
+    assert verify_invariance(R) and all(check_D_class(R, c) for c in engine.D_CLASSES)
+    assert extract_mu_L(R).order == 4
+
+
+# --- Braiding and the equation are one predicate ------------------------------
+
+def changed_in_one_pair(rng, R):
+    pairs = R.pairs.copy()
+    lam, u, v = rng.randrange(R.weight_order), rng.randrange(R.set_order), rng.randrange(R.set_order)
+    slot = rng.randrange(2)
+    pairs[slot, lam, u, v] = (pairs[slot, lam, u, v] + rng.randrange(1, R.set_order)) % R.set_order
+    return DynamicalMap._of(R.shift, pairs)
+
+
+def maps_of_every_kind(rng):
+    """Builds of random and valid tables over n = h, and over h != n the
+    swap with a random shift, which solves the equation whatever the shift,
+    and uniform random maps; each solution also with one pair changed."""
+    for n in range(2, 6):
+        for t in (random_triple(rng, n), valid_triple(rng, n)):
+            R = build_dyb(t, checked=False)
+            yield from (R, changed_in_one_pair(rng, R))
+    for h, n in ((1, 3), (2, 3), (3, 2), (4, 2), (5, 3), (2, 5), (3, 4)):
+        for _ in range(8):
+            shift_ = np.array([[rng.randrange(h) for _ in range(n)] for _ in range(h)], np.int32)
+            _, u, v = np.indices((h, n, n))
+            swap = DynamicalMap._of(shift_, np.stack((v, u)).astype(np.int32))
+            noise = np.array([rng.randrange(n) for _ in range(2 * h * n * n)], np.int32)
+            yield from (swap, changed_in_one_pair(rng, swap), DynamicalMap._of(shift_, noise.reshape(2, h, n, n)))
+
+
+def test_braiding_and_the_equation_give_one_verdict_and_witness_on_both_evaluators():
+    # Under sigma = swap o R the braiding's components are the equation's,
+    # reordered, so the two declarations are one predicate.
+    rng = random.Random("braid=qdybe")
+    witnesses = []
+    for R in maps_of_every_kind(rng):
+        found = {evaluate(ident, R._tables) for ident in (engine._QDYBE, engine._BRAIDING)
+                 for evaluate in (kernel._loop_first, kernel._slab_first)}
+        assert len(found) == 1
+        witnesses.append(found.pop())
+        assert verify_braiding(R) == verify_qdybe(R)
+    assert None in witnesses and len(set(witnesses)) >= 10
+    assert any(w is not None and w[0] > 0 for w in witnesses)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -14,6 +15,8 @@ from dybmaps import (
     BINARY_CONDITIONS,
     TERNARY_CONDITIONS,
     Bijection,
+    BinaryTable,
+    NotAPermutation,
     TernaryTable,
     Triple,
     braid_check,
@@ -398,3 +401,57 @@ def test_repr_shows_each_array_as_a_list():
     assert repr(TernaryTable(1, [0])) == "TernaryTable(array=[0])"
     # a map shows its two orders, not its n^2 h pairs
     assert repr(DynamicalMap(phi=[[0], [1]], r=[[[(0, 0)]], [[(0, 0)]]])) == "DynamicalMap(weight_order=2, set_order=1)"
+
+
+@pytest.mark.parametrize("budget, fixed", [(16384, 0), (200, 0), (64, 0), (48, 1), (32, 1), (16, 1), (8, 2)])
+def test_slabs_read_the_first_failure_off_sides_that_lack_axes(monkeypatch, budget, fixed):
+    # With a leading variable fixed, s(a) is a 0-d side and t(a, d) a 1-d
+    # one; a side that skips a variable has a size-1 axis there.  The first
+    # failure is read off the side as it is, at 0 on every missing axis.
+    monkeypatch.setattr(kernel, "SLAB_POINTS", budget)
+    n = 4
+    assert kernel._cut((n,) * 4)[0] == fixed
+    rng = random.Random(f"axes/{budget}")
+    for body in ("s(a) == 0", "t(a, d) == 0", "t(b, d) == 0", "t(c, b) == 0", "t(a, c) == s(b)", "s(d) == 0"):
+        ident = Identity("a b c d", body)
+        for density in (0.0, 0.1, 0.3):
+            for _ in range(8):
+                env = {"n": n, "t": tuple(int(rng.random() < density) for _ in range(n * n)),
+                       "s": tuple(int(rng.random() < density) for _ in range(n))}
+                assert kernel._slab_first(ident, env) == kernel._loop_first(ident, env)
+
+
+# --- numpy bools are integers 0 and 1 to every reader ---------------------------
+
+T, F = np.True_, np.False_
+Z2 = cyclic(2)
+V2 = (Z2, build_dyb(Triple(Z2, make_mu_g(Z2, 1), Bijection.identity(2))))
+M2 = make_constant_mu(2, [0, 1], "first")
+
+
+@pytest.mark.parametrize("read, numpy_bools", [
+    (lambda xs: TernaryTable(2, xs), [T, F, F, T, 1, 0, T, F]),
+    (lambda xs: TernaryTable.from_flat(2, iter(xs)), [T, F, F, T, 1, 0, T, F]),
+    (lambda xs: TernaryTable.from_function(2, lambda a, b, c: xs[(a * 2 + b) * 2 + c]), [F, T] * 4),
+    (lambda xs: BinaryTable([xs[:2], xs[2:]]), [T, F, F, T]),
+    (lambda xs: BinaryTable.from_rows(iter([iter(xs[:2]), iter(xs[2:])])), [F, T, T, 0]),
+    (Bijection.make, [T, F]),
+    (lambda xs: make_constant_mu(2, xs, "middle"), [F, T]),
+    (lambda xs: is_ternary_hom(xs, M2, M2), [T, F]),
+    (lambda xs: is_D_morphism(xs, V2, V2), [F, T]),
+    (lambda xs: is_D_morphism(xs, V2, V2), [T, F]),
+    (lambda xs: kernel.integer(xs[0]), [T]),
+])
+def test_every_integer_reader_reads_numpy_bools_as_0_and_1(read, numpy_bools):
+    assert read(numpy_bools) == read([int(x) for x in numpy_bools])
+
+
+def test_a_numpy_bool_out_of_range_is_refused_as_an_int_is():
+    assert type(kernel.integer(T)) is int
+    with pytest.raises(ValueError, match=re.escape("entry 0 = True out of range 0..0")):
+        TernaryTable(1, [T])
+    with pytest.raises(ValueError, match=re.escape("entry (0,0) = True out of range 0..0")):
+        BinaryTable([[T]])
+    with pytest.raises(NotAPermutation, match="^value 1 at position 1$"):
+        Bijection.make([T, T])
+    assert TernaryTable(1, [F]) == TernaryTable(1, [0]) and BinaryTable([[F]]) == BinaryTable([[0]])

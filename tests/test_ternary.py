@@ -243,6 +243,9 @@ def test_make_constant_mu_refuses_the_orders_the_constructor_refuses(position):
 def test_order_is_read_off_the_array_exactly():
     assert all(TernaryTable.order.fget(SimpleNamespace(array=range(n**3))) == n for n in range(1, 200_001))
     assert [make_constant_mu(n, [0] * n, "first").order for n in range(1, 9)] == list(range(1, 9))
+    for n in range(1, 101):
+        M = TernaryTable._of(np.zeros(n**3, np.int32))
+        assert M.order == M.order == n
 
 
 def test_is_ternary_hom_reads_integers_only():
