@@ -183,4 +183,6 @@ def eq26_family(G: LeftQuasigroup) -> DynamicalMap:
     pairs = np.empty((2, n, n, n), dtype=np.int32)
     pairs[0] = v
     pairs[1] = G.array[lam, G.division]
-    return DynamicalMap._of(np.tile(np.arange(n, dtype=np.int32), (n, 1)), pairs)
+    R = DynamicalMap._of(np.tile(np.arange(n, dtype=np.int32), (n, 1)), pairs)
+    R.weight_ldiv = R.shift  # the projection product u.v = v is its own division
+    return R

@@ -473,4 +473,6 @@ def build_theta_dyb(LP: LeftQuasigroup, G: LeftQuasigroup, pi: Bijection) -> Dyn
     lu = lmul[lam, u]
     xi = q[theta_inv[lam, theta[lu, p[v]]]]
     eta = ld[lmul[lam, xi], lmul[lu, v]]
-    return DynamicalMap._of(lmul, np.stack((eta, xi)))
+    R = DynamicalMap._of(lmul, np.stack((eta, xi)))
+    R.weight_ldiv = ld  # the shift is LP's multiplication, so its division is LP's
+    return R

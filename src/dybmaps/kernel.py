@@ -1,9 +1,11 @@
 """One evaluator for every exhaustive identity check (README: "How checks
 are evaluated").  Grids below CROSSOVER points run as generated nested loops
 with early exit, larger ones as numpy slabs of about SLAB_POINTS points,
-made one at a time in order; both return the lexicographically first
-failing tuple.  A third generated evaluator, the probe, decides one
-instance on a partially filled table.
+made one at a time in order, each subexpression computed once; both return
+the lexicographically first failing tuple.  A grid of four or more
+variables that fits in one slab runs the loop over its head, the points
+whose first two variables are 0, before the slab.  A third generated
+evaluator, the probe, decides one instance on a partially filled table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import copy
 import math
 import operator
 import textwrap
+from collections import Counter
 from functools import cache, cached_property
 from itertools import product
 
@@ -20,8 +23,9 @@ import numpy as np
 
 from .result import PASS, CheckResult
 
-#: Grid size from which numpy slabs beat the early-exit loop (README).
-CROSSOVER = 1000
+#: Grid size from which a slab, after the head of four or more variables,
+#: beats the early-exit loop (README).
+CROSSOVER = 400
 
 #: Most points in one slab, unless the last variable alone spans more;
 #: bounds the memory of every temporary.
@@ -223,6 +227,43 @@ def _sides(equation: ast.Expr) -> list[tuple[ast.expr, ast.expr]]:
     return list(zip(lhs, rhs, strict=True))
 
 
+class _Share(ast.NodeTransformer):
+    """Compute each arithmetic or call that a slab's `body` evaluates more
+    than once, once: `visit` returns a statement with every such
+    subexpression read as a temporary `_sK`, after adding to `lines` the
+    assignment of each temporary it reads first, inner ones first.  Equal
+    code is equal value, as in `_hoist`."""
+
+    def __init__(self, body: list[ast.stmt]):
+        self.counts = Counter()
+        for s in body:
+            self._count(s)
+        self.names = {}
+        self.lines = []
+
+    def _count(self, node: ast.AST) -> None:
+        """Count the evaluations, not reading inside a repeated one again."""
+        if isinstance(node, (ast.BinOp, ast.Call)):
+            code = ast.unparse(node)
+            self.counts[code] += 1
+            if self.counts[code] > 1:
+                return
+        for child in ast.iter_child_nodes(node):
+            self._count(child)
+
+    def _shared(self, node: ast.expr) -> ast.expr:
+        code = ast.unparse(node)
+        if code not in self.names:
+            node = self.generic_visit(node)
+            if self.counts[code] == 1:
+                return node
+            self.names[code] = f"_s{len(self.names)}"
+            self.lines.append(f"{self.names[code]} = {ast.unparse(node)}")
+        return ast.Name(self.names[code])
+
+    visit_BinOp = visit_Call = _shared
+
+
 class _HoistLookups(ast.NodeTransformer):
     """Move every lookup, in evaluation order, to lines of its own that
     return the index read when that cell is unset (-1)."""
@@ -296,7 +337,7 @@ class Identity:
         tables = {x.value.id for x in ast.walk(tree) if isinstance(x, ast.Subscript)}
         paired = {src(s.value.value) for s in steps if _reads_pair(s)}
         flat = {t: "2, -1" if t in paired else "-1" for t in tables}
-        lines = ["def scan(_env):"]
+        lines = ["def scan(_env, _head=False):"]
         for p in params:
             line = f"    {p} = _env[{p!r}]"
             if p in tables:
@@ -305,6 +346,8 @@ class Identity:
             lines.append(line)
         lines += [f"    _r{i} = range({s if type(s) is int else f'_env[{s!r}]'})"
                   for i, s in enumerate(self.sizes)]
+        # the head: the points with the first two variables at 0
+        lines.append("    if _head: " + "; ".join(f"_r{i} = _r{i}[:1]" for i in range(min(k, 2))))
         lines += ["    " + s for s in placed[0]]
         for i, v in enumerate(self.variables, 1):
             lines += [f"{'    ' * i}for {v} in _r{i - 1}:", *("    " * (i + 1) + s for s in placed[i])]
@@ -320,13 +363,17 @@ class Identity:
         # and returns the slab, a function of the variables.
         gathers = _Gathers(self.variables[-1] if self.sizes[-1] == "n" else None, level, paired)
         *steps, equation = [gathers.visit(s) for s in ast.parse(textwrap.dedent(self.body)).body]
+        test = " | ".join(f"({src(a)} != {src(b)})" for a, b in _sides(equation))
+        steps.append(ast.parse(f"return {test}").body[0])
+        share = _Share(steps)
+        for s in steps:
+            share.lines.append(src(share.visit(s)))
         lines += [
             f"def slab_of({', '.join(params)}):",
             *(f"    {t} = asarray({t}, int32).reshape({flat[t]})" for t in sorted(tables)),
             *(f"    _rows_{t} = {t}.reshape({flat[t]}, n)" for t in sorted(gathers.rows)),
             f"    def slab({', '.join(self.variables)}):",
-            *("        " + src(s) for s in steps),
-            "        return " + " | ".join(f"({src(a)} != {src(b)})" for a, b in _sides(equation)),
+            *("        " + line for line in share.lines),
             "    return slab",
         ]
         namespace = {"ndarray": np.ndarray, "asarray": np.asarray, "int32": np.int32, "_row": _row}
@@ -406,13 +453,25 @@ def _sizes(ident: Identity, env: dict):
 
 
 def _first_failure(ident: Identity, env: dict) -> tuple[int, ...] | None:
-    if math.prod(_sizes(ident, env)) < CROSSOVER:
+    size = math.prod(_sizes(ident, env))
+    if size < CROSSOVER:
         return _loop_first(ident, env)
+    if len(ident.variables) >= 4 and size <= SLAB_POINTS:
+        # A grid of one slab runs its head, the points whose first two
+        # variables are 0, as a loop first: they come first, and nearly half
+        # of the failing checks fail there, before a slab is paid for.  Over
+        # three variables the tables the loop converts are as large as the
+        # grid (README).
+        witness = _loop_first(ident, env, head=True)
+        if witness is not None:
+            return witness
     return _slab_first(ident, env)
 
 
-def _loop_first(ident: Identity, env: dict) -> tuple[int, ...] | None:
-    return ident._compiled[2](env)
+def _loop_first(ident: Identity, env: dict, head: bool = False) -> tuple[int, ...] | None:
+    """The loop over every point, or with `head` only those whose first two
+    variables are 0."""
+    return ident._compiled[2](env, head)
 
 
 @cache

@@ -38,6 +38,7 @@ from dybmaps import (
     check_D_class,
     check_binary_condition,
     conjugation_selfcheck,
+    eq26_family,
     eval_eta,
     eval_xi,
     extract_mu_L,
@@ -572,6 +573,28 @@ def test_a_built_map_carries_the_division_its_shift_derives(monkeypatch):
     R = build_dyb(valid_triple(rng, 4))
     assert verify_invariance(R) and all(check_D_class(R, c) for c in engine.D_CLASSES)
     assert extract_mu_L(R).order == 4
+
+
+def test_theta_and_eq26_maps_carry_their_division_too(monkeypatch):
+    # build_theta_dyb's shift is LP's multiplication; eq26_family's is the
+    # projection product u.v = v, whose division is the product itself.
+    Z5, ID5 = cyclic(5), Bijection.identity(5)
+    maps = [build_theta_dyb(Z5, Z5, ID5), build_theta_dyb(s3(), s3(), Bijection.identity(6)),
+            eq26_family(Z5), eq26_family(TABLE1)]
+    assert maps[0].weight_ldiv is Z5.division
+    results = []
+    for R in maps:
+        derived = DynamicalMap._of(R.shift, R.pairs)
+        assert np.array_equal(R.weight_ldiv, derived.weight_ldiv)
+        assert R.weight_ldiv.dtype == np.int32 and not R.weight_ldiv.flags.writeable
+        results.append(division_checks(derived))
+    monkeypatch.setattr(engine, "validate_left_quasigroup", refuse)
+    assert [division_checks(R) for R in maps] == results
+
+
+def division_checks(R):
+    """The results of every check that reads the weight division."""
+    return [verify_invariance(R), *(check_D_class(R, c) for c in engine.D_CLASSES), extract_mu_L(R)]
 
 
 # --- Braiding and the equation are one predicate ------------------------------

@@ -1,10 +1,13 @@
 """The identity kernel: loop and slab evaluators, lexicographic witnesses."""
 
+import ast
 import copy
 import dataclasses
 import pickle
 import random
 import re
+import textwrap
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -419,6 +422,165 @@ def test_slabs_read_the_first_failure_off_sides_that_lack_axes(monkeypatch, budg
                 env = {"n": n, "t": tuple(int(rng.random() < density) for _ in range(n * n)),
                        "s": tuple(int(rng.random() < density) for _ in range(n))}
                 assert kernel._slab_first(ident, env) == kernel._loop_first(ident, env)
+
+
+# --- one witness with shared slab temporaries and the loop's head -------------
+
+@cache
+def with_planted_failure(ident):
+    """`ident` with one more component, `planted(...) == 0` over all its
+    variables: on tables where `ident` holds, it fails where `planted` is 1."""
+    tree = ast.parse(textwrap.dedent(ident.body))
+    equation = tree.body[-1].value
+    lhs, rhs = (s.elts if isinstance(s, ast.Tuple) else [s] for s in (equation.left, equation.comparators[0]))
+    equation.left = ast.Tuple([*lhs, ast.Call(ast.Name("planted"), [ast.Name(v) for v in ident.variables], [])])
+    equation.comparators = [ast.Tuple([*rhs, ast.Constant(0)])]
+    spec = " ".join(v if size == "n" else f"{v}:{size}" for v, size in zip(ident.variables, ident.sizes))
+    return Identity(spec, ast.unparse(tree))
+
+
+def planted_env(ident, env, point):
+    """`env` for with_planted_failure(ident), failing at `point` alone."""
+    first, *rest = kernel._sizes(ident, env)
+    assert all(size <= env["n"] for size in rest)
+    planted = np.zeros(first * env["n"] ** len(rest), np.int32)
+    planted[np.ravel_multi_index(point, (first,) + (env["n"],) * len(rest))] = 1
+    return {**env, "planted": planted}
+
+
+def every_evaluator(ident, env):
+    """The witness if the dispatcher, the loop and the slabs give one."""
+    found = {kernel._first_failure(ident, env), kernel._loop_first(ident, env), kernel._slab_first(ident, env)}
+    assert len(found) == 1, found
+    return found.pop()
+
+
+def checks_made(n):
+    """(declaration, env) of every check that every_check makes at order n,
+    and of the intertwining of the identity with a map and its change."""
+    made = []
+
+    def record(ident, env):
+        made.append((ident, env))
+        return kernel._loop_first(ident, env)
+
+    G = cyclic(n)
+    R = build_dyb(Triple(G, make_mu_g(G, 1), Bijection.identity(n)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "_first_failure", record)
+        every_check(n, 0)
+        for S in (R, with_one_pair_changed(random.Random(n), R)):
+            is_D_morphism(Bijection.identity(n), (G, R), (G, S))
+    return made
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_shared_slab_temporaries_give_the_loops_witness_on_every_declaration(n):
+    # every_check reaches every declaration on random, valid and corrupted
+    # tables; where a check holds, a failure planted at a random point and
+    # at the last one must come out as the witness.
+    rng = random.Random(f"share/{n}")
+    made = checks_made(n)
+    assert {ident for ident, _ in made} == declared_identities()
+    planted = 0
+    for ident, env in made:
+        if every_evaluator(ident, env) is not None:
+            continue
+        sizes = tuple(kernel._sizes(ident, env))
+        for point in {tuple(rng.randrange(s) for s in sizes), tuple(s - 1 for s in sizes)}:
+            assert every_evaluator(with_planted_failure(ident), planted_env(ident, env, point)) == point
+            planted += 1
+    assert planted > 100
+
+
+def test_a_shared_subexpression_is_computed_once_at_its_first_use():
+    body = ast.parse("a = t.take(x * n + y)\nb = s.take(x * n + y) + x * n\nreturn (a != b) | (x * n != b)").body
+    share = kernel._Share(body)
+    for statement in body:
+        share.lines.append(ast.unparse(share.visit(statement)))
+    assert share.lines == [
+        "_s0 = x * n",
+        "_s1 = _s0 + y",
+        "a = t.take(_s1)",
+        "b = s.take(_s1) + _s0",
+        "return (a != b) | (_s0 != b)",
+    ]
+
+
+def swap_map(shift_):
+    """R(lam)(u, v) = (v, u) over the shift, which solves the equation
+    whatever the shift, h != n included."""
+    h, n = shift_.shape
+    _, u, v = np.indices((h, n, n))
+    return DynamicalMap._of(shift_, np.stack((v, u)).astype(np.int32))
+
+
+def head_cases():
+    """(declaration, env that it holds on) for M1, the equation over h != n
+    and LQ1, at orders 5-11."""
+    for n in range(5, 12):
+        yield ternary._TERNARY["M1"], {"n": n, "mu": make_mu_g(cyclic(n), 1).array}
+        h = n + 1 if n % 2 else n - 1
+        rng = random.Random(f"head/{n}")
+        shift_ = np.array([[rng.randrange(h) for _ in range(n)] for _ in range(h)], np.int32)
+        yield engine._QDYBE, swap_map(shift_)._tables
+        G = cyclic(n)
+        yield binary._BINARY["LQ1"], {"n": n, "mul": G.array, "ld": G.division}
+
+
+@pytest.mark.parametrize("ident, env", head_cases())
+def test_a_failure_in_the_head_after_it_or_last_is_the_witness(ident, env):
+    assert every_evaluator(ident, env) is None
+    sizes = tuple(kernel._sizes(ident, env))
+    n = env["n"]
+    for point in ((0, 0, n // 2, n - 1), (0, 1, 0, 0), tuple(s - 1 for s in sizes)):
+        assert every_evaluator(with_planted_failure(ident), planted_env(ident, env, point)) == point
+
+
+def routes(monkeypatch, ident, env):
+    """The evaluators _first_failure runs, in order, and its witness."""
+    calls = []
+    loop, slab = kernel._loop_first, kernel._slab_first
+
+    def loop_first(ident, env, head=False):
+        calls.append("head" if head else "loop")
+        return loop(ident, env, head)
+
+    def slab_first(ident, env):
+        calls.append("slab")
+        return slab(ident, env)
+
+    monkeypatch.setattr(kernel, "_loop_first", loop_first)
+    monkeypatch.setattr(kernel, "_slab_first", slab_first)
+    witness = kernel._first_failure(ident, env)
+    monkeypatch.undo()
+    return calls, witness
+
+
+def test_four_variable_grids_of_one_slab_run_the_head_first(monkeypatch):
+    assert 4**4 < kernel.CROSSOVER <= 5**4 and 11**4 <= kernel.SLAB_POINTS < 12**4
+    m1 = ternary._TERNARY["M1"]
+    # order: (evaluators of a pass, of a failure in the head)
+    cases = {4: (["loop"], ["loop"]), 5: (["head", "slab"], ["head"]),
+             11: (["head", "slab"], ["head"]), 12: (["slab"], ["slab"])}
+    for n, (passes, fails_in_head) in cases.items():
+        env = {"n": n, "mu": make_mu_g(cyclic(n), 1).array}
+        assert routes(monkeypatch, m1, env) == (passes, None)
+        # a failure in the head ends the check there; one after it goes on as a pass does
+        planted = with_planted_failure(m1)
+        assert routes(monkeypatch, planted, planted_env(m1, env, (0, 0, 1, 2))) == (fails_in_head, (0, 0, 1, 2))
+        assert routes(monkeypatch, planted, planted_env(m1, env, (1, 0, 0, 0))) == (passes, (1, 0, 0, 0))
+    # LQ1's n**3 grid, and the equation over h = 8 weights and n = 7
+    G = cyclic(8)
+    assert routes(monkeypatch, binary._BINARY["LQ1"], {"n": 8, "mul": G.array, "ld": G.division}) == (
+        ["head", "slab"], None)
+    assert routes(monkeypatch, engine._QDYBE, swap_map(np.zeros((8, 7), np.int32))._tables) == (
+        ["head", "slab"], None)
+    # three variables never run the head, whatever their grid
+    for n in (7, 10, 25, 26):
+        want = ["loop"] if n**3 < kernel.CROSSOVER else ["slab"]
+        assert routes(monkeypatch, ternary._TERNARY["U"], {"n": n, "mu": make_mu_g(cyclic(n), 1).array}) == (
+            want, None)
 
 
 # --- numpy bools are integers 0 and 1 to every reader ---------------------------
