@@ -266,19 +266,26 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
     if checked:
         for cond in M1M2:
             check_ternary_condition(t.M, cond).require(M1M2Violation)
-    n = t.L.order
-    mul, ld = t.L.array, t.L.division
-    p, q = t.pi.map, t.pi.inverse
+    R = DynamicalMap._of(t.L.array, _dyb_pairs(t.L, t.M.array, t.pi))
+    R.weight_ldiv = t.L.division  # the shift is L's multiplication, so its division is L's
+    return R
+
+
+def _dyb_pairs(L: LeftQuasigroup, mu: np.ndarray, pi: Bijection) -> np.ndarray:
+    """The pairs of the maps built from L, pi and the ternary tables of `mu`:
+    (2, n, n, n) for one table's n^3 entries, (2, T, n, n, n) for a (T, n^3)
+    stack of tables."""
+    n = L.order
+    mul, ld = L.array, L.division
+    p, q = pi.map, pi.inverse
     lam, _, v = _axes((n, n, n))
     lam_n, lu = lam * n, mul[:, :, None]
     luv = mul.take(lu * n + v)
-    pairs = np.empty((2, n, n, n), dtype=np.int32)
-    mu = t.M.array.take((p[:, None, None] * n + p.take(lu)) * n + p.take(luv))
+    pairs = np.empty((2, *mu.shape[:-1], n, n, n), dtype=np.int32)
+    mu = mu.take((p[:, None, None] * n + p.take(lu)) * n + p.take(luv), axis=-1)
     xi = ld.take(lam_n + q.take(mu), out=pairs[1])
     ld.take(mul.take(lam_n + xi) * n + luv, out=pairs[0])
-    R = DynamicalMap._of(mul, pairs)
-    R.weight_ldiv = ld  # the shift is L's multiplication, so its division is L's
-    return R
+    return pairs
 
 
 def eval_xi(R: DynamicalMap, lam: int, u: int, v: int) -> int:

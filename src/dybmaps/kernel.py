@@ -432,6 +432,63 @@ def check(ident: Identity, label: str | None = None, **env) -> CheckResult:
     return PASS if witness is None else CheckResult(False, witness, label)
 
 
+def check_stack(ident: Identity, stacked: tuple[str, ...], count: int, **env) -> np.ndarray:
+    """Whether `ident` holds on each of `count` sets of tables: a bool array
+    of that length.  Each table named in `stacked` is supplied as a stack of
+    `count` tables, each of n^k entries where k is its lookups' arity (a
+    table of pairs as its two rows, each such a stack); the rest of `env`
+    is shared, as `check` takes it."""
+    ident = _stacked(ident, stacked)
+    env["T"] = count
+    params, _, _, slab_of = ident._compiled
+    slab = slab_of(*(env[p] for p in params))
+    sizes = tuple(_sizes(ident, env))
+    fixed, step = _cut(sizes)
+    axes = _axes(sizes[fixed:])
+    fails = np.zeros(count, bool)
+    for point in product(*map(range, sizes[:fixed])):
+        for start in range(0, sizes[fixed], step):
+            bad = slab(*point, axes[0][start : start + step], *axes[1:])
+            if fixed:
+                fails[point[0]] |= bad.any()
+            else:
+                # bad may lack leading axes or have size-1 ones, as in _slab_first
+                bad = bad.reshape((1,) * (len(sizes) - bad.ndim) + bad.shape)
+                fails[start : start + step] |= bad.any(axis=tuple(range(1, bad.ndim)))
+    return ~fails
+
+
+class _Stacked(ast.NodeTransformer):
+    """Prepend the variable `t` to every lookup of the tables in `names`."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+
+    def visit_Call(self, node: ast.Call) -> ast.Call:
+        self.generic_visit(node)
+        if node.func.id in self.names:
+            node.args.insert(0, ast.Name("t"))
+        return node
+
+    def visit_Subscript(self, node: ast.Subscript) -> ast.Subscript:
+        if node.value.id in self.names:
+            raise ValueError(f"cannot stack `{ast.unparse(node)}`: a stacked table is read by its arguments")
+        return self.generic_visit(node)
+
+
+@cache
+def _stacked(ident: Identity, names: tuple[str, ...]) -> Identity:
+    """`ident` over a leading variable `t:T` that picks a table of each stack
+    named in `names`.  Row-major order makes `T(t, x1, ..., xk)` the flat
+    index into a (T, n^k) stack."""
+    tree = ast.parse(textwrap.dedent(ident.body))
+    if {"t", "T"} & _names(tree):
+        raise ValueError(f"cannot stack {ident.body.strip()!r}: it reads t or T")
+    body = ast.unparse(_Stacked(names).visit(tree))
+    variables = " ".join(v if s == "n" else f"{v}:{s}" for v, s in zip(ident.variables, ident.sizes))
+    return Identity(f"t:T {variables}", body)
+
+
 def probe(ident: Identity, **env):
     """The function of `ident`'s variables that makes the probe of one
     instance: a function of no arguments that decides the instance on

@@ -18,16 +18,16 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasigroup
-from .engine import Triple, build_dyb, verify_qdybe
+from .engine import _QDYBE, _dyb_pairs
 from .errors import OrderMismatch, OrderTooLarge
-from .kernel import FAILS, probe
-from .ternary import _TERNARY, M1M2, TernaryTable, braid_check, satisfies_m1m2
+from .kernel import FAILS, SLAB_POINTS, check_stack, probe
+from .ternary import _BRAID, _TERNARY, M1M2, TernaryTable, satisfies_m1m2
 
 MAX_CANONICAL_ORDER = 8
 
@@ -79,7 +79,15 @@ class CensusReport:
 
 def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     """All tables whose rows are permutations, in lexicographic order."""
-    _bounded("left-quasigroups", "exhaustive", n)
+    return _bounded("left-quasigroups", "exhaustive", n).stream(n)
+
+
+def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
+    """All Latin squares of order n, by row-wise backtracking, lexicographic."""
+    return _bounded("quasigroups", "backtracking", n).stream(n)
+
+
+def _left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     perms, inverses = (a[:, :n].astype(np.int32) for a in _relabelings(n)[:2])
     # the n! tables that share their first n - 1 rows, gathered at once
     rows = np.empty((len(perms), n), np.intp)
@@ -90,9 +98,7 @@ def enumerate_left_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
             yield LeftQuasigroup._of(mul, div)
 
 
-def enumerate_quasigroups(n: int) -> Iterator[LeftQuasigroup]:
-    """All Latin squares of order n, by row-wise backtracking, lexicographic."""
-    _bounded("quasigroups", "backtracking", n)
+def _quasigroups(n: int) -> Iterator[LeftQuasigroup]:
     perms, inverses = (a[:, :n].astype(np.int32) for a in _relabelings(n)[:2])
     # Bit c*n + v of a mask: the row puts value v in column c.
     masks = [sum(1 << c * n + v for c, v in enumerate(perm)) for perm in perms.tolist()]
@@ -126,9 +132,11 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     the list of its next unset cell j, always after k.  The moved instance
     is then probed once for each value of j's domain, with tab[j] set to
     it, and every value for which it fails leaves the domain; an empty
-    domain prunes.  Moves and trimmed domains are recorded on k's trail, and the
-    trail is undone, last entry first, before cell k takes its next value
-    or is unset again.  Only values left in a cell's domain are tried.
+    domain prunes.  If no such probe stops at an unset cell, the instance
+    holds for every value left and is retired: it goes on no list.  Moves,
+    retirements (as ~j) and trimmed domains are recorded on k's trail, and
+    the trail is undone, last entry first, before cell k takes its next
+    value or is unset again.  Only values left in a cell's domain are tried.
 
     A probe fails only when every cell it reads is set, so an instance that
     fails once k is set would sit on list k anyway: probing the last
@@ -151,8 +159,12 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
     while cell >= 0:
         moved = trail[cell]
         while moved:
-            j, dom[j] = moved.pop()
-            watch[j].pop()
+            j, d = moved.pop()
+            if j < 0:
+                dom[~j] = d
+            else:
+                dom[j] = d
+                watch[j].pop()
         rest = dom[cell] >> tab[cell] + 1
         if not rest:
             tab[cell] = -1
@@ -164,14 +176,23 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
         for instance in watch[cell]:
             j = instance()
             if j >= 0:
-                watch[j].append(instance)
-                moved.append((j, dom[j]))
-                for v in values[dom[j]]:
+                d = before = dom[j]
+                blocked = False
+                for v in values[d]:
                     tab[j] = v
-                    if instance() == FAILS:
-                        dom[j] ^= 1 << v
+                    k = instance()
+                    if k == FAILS:
+                        d ^= 1 << v
+                    elif k >= 0:
+                        blocked = True
                 tab[j] = -1
-                if not dom[j]:
+                dom[j] = d
+                if blocked:
+                    watch[j].append(instance)
+                    moved.append((j, before))
+                else:
+                    moved.append((~j, before))  # retired: it holds for every value left
+                if not d:
                     break
             elif j == FAILS:
                 last[cell] = instance
@@ -200,23 +221,26 @@ class Search(NamedTuple):
 
 #: Every search, by target and mode; a target's first mode is its own.
 #: Where a target has two modes they emit the same tables in the same order.
+#: The streams take any order: each public entry point guards it once,
+#: through `_bounded`.
 SEARCHES = {
     "ternary-m1m2": {
         "exhaustive": Search(2, "n^(n^3) growth", lambda n: filter(satisfies_m1m2, _all_ternary_tables(n))),
         "backtracking": Search(3, "3^(n^3) tree", _ternary_backtracking),
     },
-    "left-quasigroups": {"exhaustive": Search(4, "(n!)^n growth", enumerate_left_quasigroups)},
-    "quasigroups": {"backtracking": Search(5, "Latin square growth", enumerate_quasigroups)},
+    "left-quasigroups": {"exhaustive": Search(4, "(n!)^n growth", _left_quasigroups)},
+    "quasigroups": {"backtracking": Search(5, "Latin square growth", _quasigroups)},
 }
 
 
-def _bounded(target: str, mode: str, n: int) -> Search:
-    """The search of `target` in `mode`, if n is one of its orders."""
+def _bounded(target: str, mode: str, n: int, hint: str = "") -> Search:
+    """The search of `target` in `mode`, if n is one of its orders; `hint`
+    ends the message of OrderTooLarge."""
     if n < 1:
         raise ValueError("order must be >= 1")
     search = SEARCHES[target][mode]
     if n > search.max_order:
-        raise OrderTooLarge(f"{search.growth}; refusing n = {n}")
+        raise OrderTooLarge(f"{search.growth}; refusing n = {n}{hint}")
     return search
 
 
@@ -468,17 +492,23 @@ def _heads(tab: np.ndarray) -> np.ndarray:
 
 
 def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, list]:
-    """Total, M1-and-M2 count and disagreeing rows of the census over `tables`."""
+    """Total, M1-and-M2 count and disagreeing rows of the census over `tables`,
+    read in stacks of as many tables as one slab of a four-variable check
+    holds; each column of a stack is decided by one stacked verdict."""
+    n = L.order
+    tables = iter(tables)
     total = num_m1m2 = 0
     disagreements = []
-    for M in tables:
-        total += 1
-        m12 = satisfies_m1m2(M)
-        q = bool(verify_qdybe(build_dyb(Triple(L, M, pi), checked=False)))
-        b = bool(braid_check(M))
-        num_m1m2 += m12
-        if not (m12 == q == b):
-            disagreements.append((M.array.tolist(), m12, q, b))
+    while stack := list(islice(tables, max(1, SLAB_POINTS // n**4))):
+        T, mu = len(stack), np.stack([M.array for M in stack])
+        m1, m2, b = (check_stack(ident, ("mu",), T, n=n, mu=mu)
+                     for ident in (_TERNARY["M1"], _TERNARY["M2"], _BRAID))
+        m12 = m1 & m2
+        q = check_stack(_QDYBE, ("r",), T, n=n, h=n, phi=L.array, r=_dyb_pairs(L, mu, pi))
+        total += T
+        num_m1m2 += int(m12.sum())
+        for t in np.flatnonzero((m12 != q) | (q != b)):
+            disagreements.append((mu[t].tolist(), bool(m12[t]), bool(q[t]), bool(b[t])))
     return total, num_m1m2, disagreements
 
 
@@ -510,8 +540,7 @@ def census_theorem31(
         raise OrderMismatch(f"orders differ: L={L.order}, M={n}, pi={pi.order}")
     t0 = time.perf_counter()
     if sample is None:
-        if n > SEARCHES["ternary-m1m2"]["exhaustive"].max_order:
-            raise OrderTooLarge(f"exhaustive census infeasible at n = {n}; pass sample=")
+        _bounded("ternary-m1m2", "exhaustive", n, "; pass sample=")
         tables = _all_ternary_tables(n)
         mode = "exhaustive"
     else:

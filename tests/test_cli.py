@@ -17,6 +17,7 @@ from dybmaps import (
 )
 from dybmaps import CheckResult, cli, search, serialize
 from dybmaps.cli import VERIFY_CHECKS, build_parser, main
+from dybmaps.kernel import Identity
 
 
 @pytest.fixture
@@ -488,7 +489,8 @@ def test_correspond_failing_gauge_identity_exits_1(capsys, files, monkeypatch):
 
 
 def test_census_disagreement_is_reported_and_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(search, "braid_check", lambda M: CheckResult(False, (0, 0, 0, 0)))
+    # a braid declaration that fails on every table: mu(a, x, y) is never n
+    monkeypatch.setattr(search, "_BRAID", Identity("a x y z", "mu(a, x, y) == n"))
     code, out, err = run(capsys, "census", "--order", "2")
     assert code == 1 and err == ""
     doc = json.loads(out)

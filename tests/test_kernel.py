@@ -617,3 +617,52 @@ def test_a_numpy_bool_out_of_range_is_refused_as_an_int_is():
     with pytest.raises(NotAPermutation, match="^value 1 at position 1$"):
         Bijection.make([T, T])
     assert TernaryTable(1, [F]) == TernaryTable(1, [0]) and BinaryTable([[F]]) == BinaryTable([[0]])
+
+
+def tables_to_stack(n: int, rng: random.Random) -> list[TernaryTable]:
+    """Order-n tables that pass and fail the defining identities: the three
+    variant tables of Z/n and a projection, each also with one cell changed,
+    and five random tables."""
+    valid = [make_mu_g(cyclic(n), v) for v in (1, 2, 3)] + [make_constant_mu(n, range(n), "first")]
+    out = list(valid)
+    for M in valid:
+        flat = M.array.copy()
+        cell = rng.randrange(n**3)
+        flat[cell] = (flat[cell] + 1) % n
+        out.append(TernaryTable(n, flat))
+    return out + [TernaryTable(n, [rng.randrange(n) for _ in range(n**3)]) for _ in range(5)]
+
+
+@pytest.mark.parametrize("n, budget, t_fixed", [
+    (1, 16384, False), (2, 16384, False), (3, 16384, False), (4, 16384, False),
+    (1, 5, False), (2, 40, False), (2, 7, True), (3, 40, True), (4, 40, True),
+])
+def test_stacked_verdicts_agree_with_check_table_by_table(monkeypatch, n, budget, t_fixed):
+    # Below the default budget the 13 tables are cut into several chunks of
+    # t, or each slab fixes t and reads one table.
+    monkeypatch.setattr(kernel, "SLAB_POINTS", budget)
+    tables = tables_to_stack(n, random.Random(n))
+    fixed, step = kernel._cut((len(tables), n, n, n, n))
+    assert (fixed > 0) == t_fixed and (t_fixed or budget == 16384 or step < len(tables))
+    mu = np.stack([M.array for M in tables])
+    for ident in (ternary._TERNARY["M1"], ternary._TERNARY["M2"], ternary._BRAID):
+        want = [bool(kernel.check(ident, n=n, mu=M.array)) for M in tables]
+        assert kernel.check_stack(ident, ("mu",), len(tables), n=n, mu=mu).tolist() == want
+    L, pi = cyclic(n), Bijection.make(range(n)[::-1])
+    maps = [build_dyb(Triple(L, M, pi), checked=False) for M in tables]
+    r = engine._dyb_pairs(L, mu, pi)
+    assert np.array_equal(r, np.stack([R.pairs for R in maps], axis=1))
+    got = kernel.check_stack(engine._QDYBE, ("r",), len(tables), n=n, h=n, phi=L.array, r=r)
+    assert got.tolist() == [bool(verify_qdybe(R)) for R in maps]
+    assert any(got) and (n == 1 or not all(got))
+
+
+def test_a_stacked_declaration_prepends_t_to_the_stacked_tables_only():
+    stacked = kernel._stacked(engine._QDYBE, ("r",))
+    assert stacked.variables == ("t", "lam", "u", "v", "w") and stacked.sizes == ("T", "h", "n", "n", "n")
+    assert "a, b = r(t, lam, u, v)" in stacked.body and "r(t, phi(lam, b), a, w)" in stacked.body
+    assert kernel._stacked(engine._QDYBE, ("r",)) is stacked
+    with pytest.raises(ValueError, match="a stacked table is read by its arguments"):
+        kernel._stacked(ternary._HOM, ("mu2",))
+    with pytest.raises(ValueError, match="it reads t or T"):
+        kernel._stacked(Identity("a b", "t(a, b) == 0"), ("t",))

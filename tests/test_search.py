@@ -29,9 +29,8 @@ from dybmaps import (
     search_ternary_M1M2,
     validate_left_quasigroup,
 )
-from dybmaps import kernel, search
+from dybmaps import Triple, braid_check, build_dyb, kernel, search, verify_qdybe
 from dybmaps.search import _ternary_backtracking
-from dybmaps.ternary import _TERNARY
 
 #: Number of order-2 ternary tables passing both defining identities,
 #: pinned by this implementation's exhaustive 256-table scan.
@@ -225,23 +224,48 @@ def test_domains_lose_only_values_that_fail_an_instance(n, items):
 
 
 @pytest.mark.parametrize("n, items", [(2, None), (3, 3000)])
-def test_watch_lists_hold_exactly_the_blocked_instances(n, items):
-    # At every inner node, the lists of the unset cells hold each instance
-    # still blocked once, on the list of the cell its probe stops at.
-    points = list(product(range(n), repeat=4))
+def test_watch_lists_hold_exactly_the_blocked_instances(monkeypatch, n, items):
+    # At every inner node, each listed instance is still blocked and sits
+    # once on the list of the cell its probe stops at.  A blocked instance
+    # that is on no list was retired: it holds for every value left in the
+    # domain of that cell.
+    made = {}  # each probe of the walk: (declaration, point)
+
+    def recorded(ident, **env):
+        at = kernel.probe(ident, **env)
+
+        def instance(*point):
+            x = at(*point)
+            made[x] = (ident, point)
+            return x
+
+        return instance
+
+    monkeypatch.setattr(search, "probe", recorded)
     walk = _ternary_backtracking(n)
+    retired = 0
     for item in islice(walk, items):
         if item is not None:
             continue
         state = walk.gi_frame.f_locals
-        tab, watch, cell = state["tab"], state["watch"], state["cell"]
-        # The walk makes one probe per instance, so a probe listed twice is
-        # an instance listed twice.
-        waiting = [(x, j) for j in range(cell, n**3) for x in watch[j]]
-        assert all(x() == j for x, j in waiting)
-        assert len({x for x, _ in waiting}) == len(waiting)
-        fresh = [kernel.probe(_TERNARY[cond], mu=tab, n=n) for cond in ("M1", "M2")]
-        assert len(waiting) == sum(at(*point)() >= 0 for at in fresh for point in points)
+        tab, watch, dom, cell = state["tab"], state["watch"], state["dom"], state["cell"]
+        listed = {}
+        for j in range(cell, n**3):
+            for x in watch[j]:
+                assert x not in listed and x() == j
+                listed[x] = j
+        for x, (ident, point) in made.items():
+            j = kernel.probe(ident, mu=tab, n=n)(*point)()
+            if x in listed:
+                assert listed[x] == j
+            elif j >= 0:
+                retired += 1
+                for v in range(n):
+                    if dom[j] >> v & 1:
+                        at = kernel.probe(ident, mu=[*tab[:j], v, *tab[j + 1 :]], n=n)(*point)
+                        assert at() == kernel.HOLDS
+    assert len(made) == 2 * n**4
+    assert retired > 0
 
 
 def test_nodes_count_every_item_of_the_stream():
@@ -699,6 +723,68 @@ def test_orbit_stabiliser_on_the_order_2_ternary_search(mode):
     assert sum(2 // canonicalize(r)[1] for r in rep.representatives) == rep.total
 
 
+def census_reference(tables, L, pi):
+    """The census table by table, as `_census_tables` once computed it: the
+    two identities, the equation on the unchecked build and the braid check."""
+    total = num_m1m2 = 0
+    disagreements = []
+    for M in tables:
+        total += 1
+        m12 = satisfies_m1m2(M)
+        q = bool(verify_qdybe(build_dyb(Triple(L, M, pi), checked=False)))
+        b = bool(braid_check(M))
+        num_m1m2 += m12
+        if not (m12 == q == b):
+            disagreements.append((M.array.tolist(), m12, q, b))
+    return total, num_m1m2, disagreements
+
+
+def sampled_tables(n, sample, seed):
+    """The tables `census_theorem31(n, sample=sample, seed=seed)` reads."""
+    rng = random.Random(seed)
+    return [TernaryTable(n, tuple(rng.randrange(n) for _ in range(n**3))) for _ in range(sample)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_census_equals_the_table_by_table_reference_for_every_L_and_pi(n):
+    tables = list(search._all_ternary_tables(n))
+    for L in enumerate_left_quasigroups(n):
+        for p in permutations(range(n)):
+            pi = Bijection.make(p)
+            want = census_reference(tables, L, pi)
+            assert search._census_tables(iter(tables), L, pi) == want
+            rep = census_theorem31(n, L=L, pi=pi)
+            assert (rep.total, rep.num_m1m2, rep.disagreements) == want and rep.agree == (not want[2])
+
+
+def one_cell_corruptions(tables, seed):
+    rng = random.Random(seed)
+    out = []
+    for M in tables:
+        flat = M.array.copy()
+        cell = rng.randrange(len(flat))
+        flat[cell] = (flat[cell] + 1 + rng.randrange(2)) % 3
+        out.append(TernaryTable(3, flat))
+    return out
+
+
+def test_order_3_census_equals_the_table_by_table_reference():
+    # A uniform sample has no table passing M1 and M2, so the positives are
+    # the walk's first tables; 300 tables make two stacks.
+    walked = search_ternary_M1M2(3, "backtracking", limit=150).tables
+    corrupted = one_cell_corruptions(walked, 0)
+    triples = [(cyclic(3), (0, 1, 2)), (shift(3), (1, 2, 0)), (TABLE1, (2, 1, 0))]
+    for L, pi in ((L, Bijection.make(p)) for L, p in triples):
+        for tables in (walked + corrupted, corrupted[::-1] + walked[::-1]):
+            got = search._census_tables(iter(tables), L, pi)
+            assert got == census_reference(tables, L, pi)
+            assert 150 <= got[1] < 300 and not got[2]  # some corruptions still pass
+    for seed in (0, 7):
+        rep = census_theorem31(3, sample=250, seed=seed)
+        want = census_reference(sampled_tables(3, 250, seed), cyclic(3), Bijection.identity(3))
+        assert (rep.total, rep.num_m1m2, rep.disagreements) == want and rep.agree
+
+
 def test_census_exhaustive_n2():
     rep = census_theorem31(2)
     assert rep.total == 256
@@ -742,3 +828,26 @@ def test_census_refuses_an_L_or_pi_of_another_order_before_any_table(monkeypatch
 def test_census_order_guard():
     with pytest.raises(OrderTooLarge):
         census_theorem31(3)
+
+
+def test_each_entry_point_guards_the_order_once(monkeypatch):
+    calls = []
+    bounded = search._bounded
+    monkeypatch.setattr(search, "_bounded", lambda *args: calls.append(args[:3]) or bounded(*args))
+    search_structures("left-quasigroups", 2)
+    search_structures("quasigroups", 3)
+    search_ternary_M1M2(2, "backtracking")
+    list(enumerate_left_quasigroups(2))
+    list(enumerate_quasigroups(2))
+    census_theorem31(2)
+    census_theorem31(3, sample=1)
+    assert calls == [
+        ("left-quasigroups", "exhaustive", 2), ("quasigroups", "backtracking", 3),
+        ("ternary-m1m2", "backtracking", 2), ("left-quasigroups", "exhaustive", 2),
+        ("quasigroups", "backtracking", 2), ("ternary-m1m2", "exhaustive", 2),
+    ]
+    # the census refuses through the same guard, and names the way out
+    with pytest.raises(OrderTooLarge, match=r"^n\^\(n\^3\) growth; refusing n = 3; pass sample=$"):
+        census_theorem31(3)
+    with pytest.raises(OrderTooLarge, match=r"^\(n!\)\^n growth; refusing n = 5$"):
+        enumerate_left_quasigroups(5)
