@@ -42,7 +42,7 @@ from .errors import (
 )
 from .kernel import Arrays, Identity, _axes, check, integer, require_shape
 from .result import CheckResult
-from .ternary import M1M2, TernaryTable, check_ternary_condition
+from .ternary import TernaryTable, check_ternary_condition, require_m1m2
 
 D_CLASSES = ("D1", "D2", "D3")
 A_CLASSES = ("A1", "A2", "A3")
@@ -66,16 +66,6 @@ _QDYBE = Identity("lam:h u v w", """
     s2, t2 = r(lam, u, q2)
     x2, y2 = r(phi(lam, t2), s2, p2)
     (c, e, f) == (x2, y2, t2)
-""")
-# with sigma = swap o R, so that b, a = r(...) reads sigma(...) = (a, b)
-_BRAIDING = Identity("lam:h u v w", """
-    b, a = r(lam, u, v)
-    d, c = r(phi(lam, a), b, w)
-    l2, l1 = r(lam, a, c)
-    q2, p2 = r(phi(lam, u), v, w)
-    hh, g = r(lam, u, p2)
-    m2, m1 = r(phi(lam, g), hh, q2)
-    (l1, l2, d) == (g, m1, m2)
 """)
 _INVARIANCE = Identity("lam u v", "phi(phi(lam, xi(lam, u, v)), eta(lam, u, v)) == phi(phi(lam, u), v)")
 _UNITARY = Identity("lam:h u v", "a, b = r(lam, u, v); c, d = r(lam, b, a); (c, d) == (v, u)")
@@ -174,6 +164,11 @@ class DynamicalMap(Arrays):
                 "r": self.pairs, "eta": self.pairs[0], "xi": self.pairs[1]}
 
     @cached_property
+    def _equation(self) -> CheckResult:
+        """The verdict of verify_qdybe and verify_braiding, decided once per map."""
+        return check(_QDYBE, **self._tables)
+
+    @cached_property
     def _invariance(self) -> CheckResult:
         """The verdict of verify_invariance, decided once per map."""
         return check(_INVARIANCE, **self._tables, ld=self.weight_ldiv)
@@ -264,8 +259,7 @@ def build_dyb(t: Triple, checked: bool = True) -> DynamicalMap:
     the failure direction can be exercised.
     """
     if checked:
-        for cond in M1M2:
-            check_ternary_condition(t.M, cond).require(M1M2Violation)
+        require_m1m2(t.M, M1M2Violation)
     R = DynamicalMap._of(t.L.array, _dyb_pairs(t.L, t.M.array, t.pi))
     R.weight_ldiv = t.L.division  # the shift is L's multiplication, so its division is L's
     return R
@@ -310,18 +304,18 @@ def verify_qdybe(R: DynamicalMap) -> CheckResult:
 
     Legs 1 and 2 act on the first two slots, and so on; a leg whose weight
     argument carries a slot superscript reads that slot of the tuple it is
-    applied to.  Both sides are evaluated right to left.
+    applied to.  Both sides are evaluated right to left.  The verdict is
+    decided on first use and kept on the map.
     """
-    return check(_QDYBE, **R._tables)
+    return R._equation
 
 
 def verify_braiding(R: DynamicalMap) -> CheckResult:
-    """Check the braid-type equation for sigma = swap o R: with each pair's
-    slots named in the other order, its (l1, l2, d) == (g, m1, m2) is
-    verify_qdybe's (f, e, c) == (t2, y2, x2), so the two give the same verdict
-    and witness on every map, and their agreement checks one declaration
-    against the other, not two algorithms."""
-    return check(_BRAIDING, **R._tables)
+    """Check the braid relation of sigma = swap o R.  Read with each pair's
+    slots named in the other order, its components are the equation's,
+    reordered, so it is verify_qdybe's verdict and witness, the one kept on
+    the map (README: "How checks are evaluated")."""
+    return R._equation
 
 
 def verify_invariance(R: DynamicalMap) -> CheckResult:

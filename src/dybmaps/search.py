@@ -18,7 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, islice, permutations, product
+from itertools import chain, permutations, product
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from .binary import BinaryTable, Bijection, LeftQuasigroup, validate_left_quasig
 from .engine import _QDYBE, _dyb_pairs
 from .errors import OrderMismatch, OrderTooLarge
 from .kernel import FAILS, SLAB_POINTS, check_stack, probe
-from .ternary import _BRAID, _TERNARY, M1M2, TernaryTable, satisfies_m1m2
+from .ternary import _BRAID, _TERNARY, M1M2, TernaryTable
 
 MAX_CANONICAL_ORDER = 8
 
@@ -205,9 +205,26 @@ def _ternary_backtracking(n: int) -> Iterator[TernaryTable | None]:
                 yield TernaryTable._of(np.array(tab, np.int32))
 
 
-def _all_ternary_tables(n: int) -> Iterator[TernaryTable]:
-    """All n^(n^3) ternary tables of order n, in lexicographic order."""
-    return (TernaryTable._of(np.array(flat, np.int32)) for flat in product(range(n), repeat=n**3))
+def _ternary_stacks(n: int) -> Iterator[np.ndarray]:
+    """All n^(n^3) ternary tables of order n in lexicographic order, as
+    (T, n^3) int32 stacks of T = `_stack_size(n)` tables, the last perhaps
+    fewer: row i of the stack from table s holds the base-n digits of s + i."""
+    T, count = _stack_size(n), n ** n**3
+    weights = n ** np.arange(n**3 - 1, -1, -1, dtype=np.int64)
+    for s in range(0, count, T):
+        yield (np.arange(s, min(s + T, count), dtype=np.int64)[:, None] // weights % n).astype(np.int32)
+
+
+def _stack_size(n: int) -> int:
+    """Tables of order n per stack: as many as one four-variable slab holds."""
+    return max(1, SLAB_POINTS // n**4)
+
+
+def _m1m2_tables(n: int) -> Iterator[TernaryTable]:
+    """The tables of `_ternary_stacks` that satisfy M1 and M2, in order."""
+    for mu in _ternary_stacks(n):
+        m1, m2 = (check_stack(_TERNARY[cond], ("mu",), len(mu), n=n, mu=mu) for cond in M1M2)
+        yield from map(TernaryTable._of, mu[m1 & m2])
 
 
 class Search(NamedTuple):
@@ -225,7 +242,7 @@ class Search(NamedTuple):
 #: through `_bounded`.
 SEARCHES = {
     "ternary-m1m2": {
-        "exhaustive": Search(2, "n^(n^3) growth", lambda n: filter(satisfies_m1m2, _all_ternary_tables(n))),
+        "exhaustive": Search(2, "n^(n^3) growth", _m1m2_tables),
         "backtracking": Search(3, "3^(n^3) tree", _ternary_backtracking),
     },
     "left-quasigroups": {"exhaustive": Search(4, "(n!)^n growth", _left_quasigroups)},
@@ -491,16 +508,15 @@ def _heads(tab: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
-def _census_tables(tables, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, list]:
-    """Total, M1-and-M2 count and disagreeing rows of the census over `tables`,
-    read in stacks of as many tables as one slab of a four-variable check
-    holds; each column of a stack is decided by one stacked verdict."""
+def _census_tables(stacks, L: LeftQuasigroup, pi: Bijection) -> tuple[int, int, list]:
+    """Total, M1-and-M2 count and disagreeing rows of the census over the
+    tables of `stacks`, each a (T, n^3) array of T tables; each column of a
+    stack is decided by one stacked verdict."""
     n = L.order
-    tables = iter(tables)
     total = num_m1m2 = 0
     disagreements = []
-    while stack := list(islice(tables, max(1, SLAB_POINTS // n**4))):
-        T, mu = len(stack), np.stack([M.array for M in stack])
+    for mu in stacks:
+        T = len(mu)
         m1, m2, b = (check_stack(ident, ("mu",), T, n=n, mu=mu)
                      for ident in (_TERNARY["M1"], _TERNARY["M2"], _BRAID))
         m12 = m1 & m2
@@ -541,14 +557,14 @@ def census_theorem31(
     t0 = time.perf_counter()
     if sample is None:
         _bounded("ternary-m1m2", "exhaustive", n, "; pass sample=")
-        tables = _all_ternary_tables(n)
+        stacks = _ternary_stacks(n)
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
-        tables = (TernaryTable(n, tuple(rng.randrange(n) for _ in range(n**3)))
-                  for _ in range(sample))
+        rng, T = random.Random(seed), _stack_size(n)
+        stacks = (np.array([[rng.randrange(n) for _ in range(n**3)] for _ in range(min(T, sample - s))],
+                           np.int32) for s in range(0, sample, T))
         mode = "sample"
-    total, num_m1m2, disagreements = _census_tables(tables, L, pi)
+    total, num_m1m2, disagreements = _census_tables(stacks, L, pi)
     return CensusReport(
         order=n,
         mode=mode,

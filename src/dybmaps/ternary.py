@@ -117,6 +117,15 @@ def satisfies_m1m2(M: TernaryTable) -> bool:
     return all(check_ternary_condition(M, cond) for cond in M1M2)
 
 
+def require_m1m2(M: TernaryTable, error: type[Exception]) -> None:
+    """Raise `error` unless M satisfies M1 and M2, in one pass: the braid
+    relation at (a, x, y, z) is M1 and M2 there.  A table that fails it is
+    checked again, M1 then M2, to name the failing condition and witness."""
+    if not check(_BRAID, n=M.order, mu=M.array):
+        for cond in M1M2:
+            check_ternary_condition(M, cond).require(error)
+
+
 def make_mu_g(G: LeftQuasigroup, variant: int, checked: bool = True) -> TernaryTable:
     """Derive a ternary table from a left quasigroup (G, *) with division \\.
 
@@ -171,8 +180,7 @@ def make_constant_mu(n: int, f: Sequence[int], position: str) -> TernaryTable:
 def direct_product(M1: TernaryTable, M2: TernaryTable) -> TernaryTable:
     """Componentwise operation on pairs, with pair (a1, a2) encoded as a1*n2 + a2."""
     for M in (M1, M2):
-        for cond in M1M2:
-            check_ternary_condition(M, cond).require(PreconditionFailed)
+        require_m1m2(M, PreconditionFailed)
     n1, n2 = M1.order, M2.order
     # axes (a1, a2, b1, b2, c1, c2), so C order reads ((a*n + b)*n + c)
     # with a = a1*n2 + a2 and likewise b, c

@@ -14,6 +14,7 @@ from dybmaps import (
     M1M2Violation,
     NotQuasigroup,
     OrderMismatch,
+    PreconditionFailed,
     ShapeMismatch,
     TernaryTable,
     Triple,
@@ -21,16 +22,19 @@ from dybmaps import (
     build_dyb,
     check_D_class,
     check_ternary_condition,
+    direct_product,
     eq26_family,
     eval_xi,
     is_constant_in_lambda,
+    make_constant_mu,
     make_mu_g,
+    satisfies_m1m2,
     verify_irf_irf,
     verify_qdybe,
     vertex_counterpart,
     vertex_counterpart_from_map,
 )
-from dybmaps import kernel
+from dybmaps import kernel, ternary
 
 ID3 = Bijection.identity(3)
 MU1 = make_mu_g(TABLE1, 1)
@@ -134,21 +138,18 @@ def test_build_guards():
         build_correspondence(Z2, Z2, bad, id2, id2)
 
 
-def test_build_correspondence_checks_m1_and_m2_once_each(monkeypatch):
+def test_build_correspondence_decides_a_valid_table_in_one_check(monkeypatch):
     from conftest import NON_M1M2_FLAT
 
-    from dybmaps import correspondence, engine
+    calls, first_failure = [], kernel._first_failure
 
-    calls = []
+    def counting(ident, env):
+        calls.append(ident)
+        return first_failure(ident, env)
 
-    def counting(M, cond):
-        calls.append(cond)
-        return check_ternary_condition(M, cond)
-
-    for mod in (correspondence, engine):
-        monkeypatch.setattr(mod, "check_ternary_condition", counting)
+    monkeypatch.setattr(kernel, "_first_failure", counting)
     build_correspondence(TABLE1, shift(3), MU1, ID3, BIJ3[3])
-    assert sorted(calls) == ["M1", "M2"]
+    assert calls == [ternary._BRAID]
 
     # a failing table still raises the first failing condition with its witness
     bad = TernaryTable.from_flat(2, NON_M1M2_FLAT)
@@ -158,6 +159,58 @@ def test_build_correspondence_checks_m1_and_m2_once_each(monkeypatch):
     with pytest.raises(M1M2Violation) as exc:
         build_correspondence(Z2, Z2, bad, id2, id2)
     assert (exc.value.condition, exc.value.witness) == (first.label, first.witness)
+
+
+def two_loop_guard(M, error):
+    """The hypothesis as the builders once required it: M1, then M2, each
+    decided on its own."""
+    for cond in ("M1", "M2"):
+        check_ternary_condition(M, cond).require(error)
+
+
+def raised(call):
+    """(type, condition, witness, message) of what `call` raises."""
+    with pytest.raises(PreconditionFailed) as exc:
+        call()
+    return type(exc.value), exc.value.condition, exc.value.witness, str(exc.value)
+
+
+def tables_failing_the_hypothesis():
+    """Every order-2 table that fails M1 or M2, and seeded one-cell
+    corruptions of valid tables at orders 3-6, each order with tables that
+    fail M1 alone, M2 alone and both."""
+    for flat in product(range(2), repeat=8):
+        M = TernaryTable.from_flat(2, flat)
+        if not satisfies_m1m2(M):
+            yield M
+    for n in range(3, 7):
+        rng = random.Random(f"guard/{n}")
+        valid = [make_mu_g(cyclic(n), v) for v in (1, 2, 3)]
+        valid += [make_constant_mu(n, range(n), p) for p in ("first", "third")]
+        kinds = set()
+        for k in range(40):
+            flat = valid[k % len(valid)].array.copy()
+            cell = rng.randrange(n**3)
+            flat[cell] = (flat[cell] + rng.randrange(1, n)) % n
+            M = TernaryTable(n, flat)
+            kinds.add(tuple(bool(check_ternary_condition(M, c)) for c in ("M1", "M2")))
+            yield M
+        assert kinds == {(False, True), (True, False), (False, False)}
+
+
+def test_the_one_pass_guard_raises_what_the_two_loop_guard_raises():
+    count = 0
+    for M in tables_failing_the_hypothesis():
+        n = M.order
+        L, pi, good = cyclic(n), Bijection.identity(n), make_mu_g(cyclic(n), 1)
+        want = raised(lambda: two_loop_guard(M, M1M2Violation))
+        assert raised(lambda: build_dyb(Triple(L, M, pi))) == want
+        assert raised(lambda: build_correspondence(L, shift(n), M, pi, pi)) == want
+        want = raised(lambda: two_loop_guard(M, PreconditionFailed))
+        assert raised(lambda: direct_product(M, good)) == want
+        assert raised(lambda: direct_product(good, M)) == want
+        count += 1
+    assert count == 2**8 - 25 + 4 * 40
 
 
 def test_constant_in_lambda():
@@ -220,7 +273,7 @@ def test_vertex_counterpart_checks_lq1_once_and_builds_unchecked(monkeypatch):
 
     calls = []
     for mod, name in ((correspondence, "check_binary_condition"), (ternary, "check_binary_condition"),
-                      (engine, "check_ternary_condition")):
+                      (engine, "check_ternary_condition"), (engine, "require_m1m2")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda x, cond, real=real: calls.append(cond) or real(x, cond))
     vertex_counterpart(TABLE1, TABLE1, ID3)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from itertools import permutations, product
@@ -624,16 +626,80 @@ def maps_of_every_kind(rng):
             yield from (swap, changed_in_one_pair(rng, swap), DynamicalMap._of(shift_, noise.reshape(2, h, n, n)))
 
 
+# The braid relation of sigma = swap o R, as the paper states it: with
+# b, a = r(...) reading sigma(...) = (a, b), each pair's slots are named in
+# the other order.  The package decides the equation alone; this is the
+# reference its verdict is held to.
+BRAIDING = Identity("lam:h u v w", """
+    b, a = r(lam, u, v)
+    d, c = r(phi(lam, a), b, w)
+    l2, l1 = r(lam, a, c)
+    q2, p2 = r(phi(lam, u), v, w)
+    hh, g = r(lam, u, p2)
+    m2, m1 = r(phi(lam, g), hh, q2)
+    (l1, l2, d) == (g, m1, m2)
+""")
+
+
 def test_braiding_and_the_equation_give_one_verdict_and_witness_on_both_evaluators():
     # Under sigma = swap o R the braiding's components are the equation's,
     # reordered, so the two declarations are one predicate.
     rng = random.Random("braid=qdybe")
     witnesses = []
     for R in maps_of_every_kind(rng):
-        found = {evaluate(ident, R._tables) for ident in (engine._QDYBE, engine._BRAIDING)
+        found = {evaluate(ident, R._tables) for ident in (engine._QDYBE, BRAIDING)
                  for evaluate in (kernel._loop_first, kernel._slab_first)}
         assert len(found) == 1
         witnesses.append(found.pop())
-        assert verify_braiding(R) == verify_qdybe(R)
+        assert verify_braiding(R) == verify_qdybe(R) == check(BRAIDING, **R._tables)
     assert None in witnesses and len(set(witnesses)) >= 10
     assert any(w is not None and w[0] > 0 for w in witnesses)
+
+
+def count_equation_checks(monkeypatch) -> list:
+    """A list that grows by one each time the kernel evaluates the equation."""
+    calls, first_failure = [], kernel._first_failure
+
+    def counting(ident, env):
+        if ident is engine._QDYBE:
+            calls.append(ident)
+        return first_failure(ident, env)
+
+    monkeypatch.setattr(kernel, "_first_failure", counting)
+    return calls
+
+
+def maps_from_every_constructor():
+    """Maps that solve the equation and maps that do not, from each way a
+    map is made: build_dyb, _of, the constructor, the JSON reader and the
+    loop/group and closed-form paths."""
+    rng = random.Random("one verdict")
+    t = valid_triple(rng, 4)
+    bad = Triple(cyclic(2), TernaryTable.from_flat(2, NON_M1M2_FLAT), Bijection.identity(2))
+    for R in (build_dyb(t), build_dyb(bad, checked=False)):
+        yield R
+        yield DynamicalMap._of(R.shift, R.pairs)
+        yield DynamicalMap(R.shift.tolist(), R.pairs.transpose(1, 2, 3, 0).tolist())
+        yield serialize.loads(serialize.dumps(R))
+    Z5 = cyclic(5)
+    yield build_theta_dyb(Z5, Z5, Bijection.identity(5))
+    yield eq26_family(TABLE1)
+    yield changed_in_one_pair(rng, eq26_family(Z5))
+
+
+def test_each_map_decides_the_equation_once_for_both_verifiers(monkeypatch):
+    calls = count_equation_checks(monkeypatch)
+    verdicts = []
+    for R in maps_from_every_constructor():
+        before = len(calls)
+        res = verify_qdybe(R)
+        assert verify_braiding(R) == res and verify_qdybe(R) == res
+        assert len(calls) == before + 1
+        assert res == check(BRAIDING, **R._tables)
+        # a pickled or copied map is another map: it decides the verdict again, alike
+        for again in (pickle.loads(pickle.dumps(R)), copy.copy(R), copy.deepcopy(R)):
+            assert verify_braiding(again) == res and verify_qdybe(again) == res
+        assert len(calls) == before + 4
+        verdicts.append(res)
+    assert any(verdicts) and not all(verdicts)
+    assert {v.witness for v in verdicts if not v} >= {(1, 0, 0, 0)}

@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 from conftest import BIJ3, TABLE1, cyclic, lq, shift
+from test_engine import BRAIDING
 
 from dybmaps import (
     BINARY_CONDITIONS,
@@ -49,7 +50,9 @@ from dybmaps.kernel import Arrays, Identity
 
 
 def declared_identities() -> set:
-    found = set()
+    """Every declaration of the package, and the braid form of the equation
+    that the tests hold as its reference."""
+    found = {BRAIDING}
     for mod in (binary, ternary, engine, correspondence):
         for value in vars(mod).values():
             for item in value.values() if isinstance(value, dict) else (value,):
@@ -106,6 +109,7 @@ def every_check(n, seed):
             R = build_dyb(Triple(H, M, pi), checked=False)
             for S in (R, with_one_pair_changed(rng, R)):
                 out += [verify_qdybe(S), verify_braiding(S), verify_unitary(S)]
+                out.append(kernel.check(BRAIDING, **S._tables))  # the tests' reference for both
                 out += [verify_invariance(S)] + [check_D_class(S, c) for c in engine.D_CLASSES]
                 out.append(is_D_morphism(pi, (H, R), (H, S)))
             out.append(conjugation_selfcheck(Triple(H, M, pi)))

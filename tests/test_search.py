@@ -739,6 +739,34 @@ def census_reference(tables, L, pi):
     return total, num_m1m2, disagreements
 
 
+def as_stacks(tables):
+    """The tables as the census reads them: (T, n^3) stacks of T tables."""
+    T = search._stack_size(tables[0].order)
+    return [np.stack([M.array for M in tables[i : i + T]]) for i in range(0, len(tables), T)]
+
+
+def every_table(n):
+    """All ternary tables of order n, in lexicographic order."""
+    return [TernaryTable.from_flat(n, flat) for flat in product(range(n), repeat=n**3)]
+
+
+def test_the_table_stacks_are_every_table_in_order():
+    for n in (1, 2):
+        stacks = list(search._ternary_stacks(n))
+        assert [len(mu) for mu in stacks] == [n ** n**3]  # one stack holds them all
+        assert all(mu.dtype == np.int32 and mu.shape[1] == n**3 for mu in stacks)
+        assert [M.array.tolist() for M in every_table(n)] == np.concatenate(stacks).tolist()
+        # the exhaustive search is the tables that pass both identities, in order
+        passing = [M for M in every_table(n) if satisfies_m1m2(M)]
+        assert search_ternary_M1M2(n, "exhaustive").tables == passing
+    # order 3 (unguarded): stacks of 202 tables, each row the digits of its index
+    first, second = islice(search._ternary_stacks(3), 2)
+    assert len(first) == len(second) == search._stack_size(3) == 16384 // 81
+    for i in (0, 1, 201, 202, 403):
+        row = (first if i < 202 else second)[i % 202]
+        assert row.tolist() == [i // 3 ** (26 - k) % 3 for k in range(27)]
+
+
 def sampled_tables(n, sample, seed):
     """The tables `census_theorem31(n, sample=sample, seed=seed)` reads."""
     rng = random.Random(seed)
@@ -747,12 +775,12 @@ def sampled_tables(n, sample, seed):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_census_equals_the_table_by_table_reference_for_every_L_and_pi(n):
-    tables = list(search._all_ternary_tables(n))
+    tables = every_table(n)
     for L in enumerate_left_quasigroups(n):
         for p in permutations(range(n)):
             pi = Bijection.make(p)
             want = census_reference(tables, L, pi)
-            assert search._census_tables(iter(tables), L, pi) == want
+            assert search._census_tables(as_stacks(tables), L, pi) == want
             rep = census_theorem31(n, L=L, pi=pi)
             assert (rep.total, rep.num_m1m2, rep.disagreements) == want and rep.agree == (not want[2])
 
@@ -776,7 +804,7 @@ def test_order_3_census_equals_the_table_by_table_reference():
     triples = [(cyclic(3), (0, 1, 2)), (shift(3), (1, 2, 0)), (TABLE1, (2, 1, 0))]
     for L, pi in ((L, Bijection.make(p)) for L, p in triples):
         for tables in (walked + corrupted, corrupted[::-1] + walked[::-1]):
-            got = search._census_tables(iter(tables), L, pi)
+            got = search._census_tables(as_stacks(tables), L, pi)
             assert got == census_reference(tables, L, pi)
             assert 150 <= got[1] < 300 and not got[2]  # some corruptions still pass
     for seed in (0, 7):
